@@ -47,6 +47,7 @@ from .analytic import (
     crf_branch_states,
     evolve_crf,
     evolve_rf,
+    evolve_series,
     jc_branch,
     jc_eigenstate,
     observables_crf,

@@ -43,6 +43,7 @@ __all__ = [
     "crf_branch_states",
     "evolve_rf",
     "evolve_crf",
+    "evolve_series",
     "observables_rf",
     "observables_crf",
 ]
@@ -205,6 +206,88 @@ def _require_headroom(space: HilbertSpace, n: int) -> None:
         )
 
 
+# frame -> (doublet of its family, atom of the top branch's bare state); the top
+# branch starts at |atom, n>, the bottom branch at |other atom, n-1>
+_FRAME_BRANCHES = {"rf": (_jc_doublet, "e"), "crf": (_ajc_doublet, "g")}
+_OTHER_ATOM = {"e": "g", "g": "e"}
+
+
+def _as_time_array(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("times must be finite")
+    return arr
+
+
+def _branch_series(
+    params: ModelParams, space: HilbertSpace, frame: str, n: int, tt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(T, d) amplitudes of the frame's two doublet evolutions over times tt.
+
+    The top branch lives in the doublet at |atom, n> with partner photon
+    number n+1 and phase photon number n+1; the bottom branch in the doublet
+    at |other, n-1> with partner photon number n-2 and phase photon number
+    n-1, and is None at n = 0. An e-family transition state is
+    c|bare> + s|partner> and a g-family one -c|bare> + s|partner>, hence
+    -i c or +i c on the bare amplitude.
+    """
+    if frame not in _FRAME_BRANCHES:
+        raise ValueError(f"frame must be 'rf' or 'crf', got {frame!r}")
+    _require_headroom(space, n)
+    doublet, top_atom = _FRAME_BRANCHES[frame]
+
+    def evolve(atom: str, m: int, phase_m: int, partner_m: int) -> np.ndarray:
+        rabi, c, s = doublet(params, atom, m)
+        phase = np.exp(-1j * params.omega * phase_m * tt)
+        cos, sin = np.cos(rabi * tt), np.sin(rabi * tt)
+        twist = -1j if atom == "e" else 1j
+        amps = np.zeros((tt.size, space.dim), dtype=np.complex128)
+        amps[:, space.index(atom, m)] = phase * (cos + twist * c * sin)
+        if partner_m >= 0:
+            amps[:, space.index(_OTHER_ATOM[atom], partner_m)] = phase * (-1j * s * sin)
+        return amps
+
+    top = evolve(top_atom, n, n + 1, n + 1)
+    if n == 0:
+        return top, None
+    return top, evolve(_OTHER_ATOM[top_atom], n - 1, n - 1, n - 2)
+
+
+def evolve_series(
+    params: ModelParams, space: HilbertSpace, frame: str, n: int, grid
+) -> np.ndarray:
+    """Closed-form frame state at every grid time, as a (T, d) amplitude array.
+
+    Frame 'rf' starts from the plus-branch counter-rotating eigenstate at
+    n, split over its two doublets with weights (1 + c) and s of ajc-e(n);
+    frame 'crf' from the minus-branch rotating eigenstate, with weights
+    (1 + c) and -s of jc-g(n). At n = 0 the initial state is the top
+    branch's bare state. Support spans photon numbers n-2 .. n+1, so
+    n + 2 <= n_max is required as headroom for cross-checks against matrix
+    propagation.
+    """
+    top, bottom = _branch_series(params, space, frame, n, _as_time_array(grid).reshape(-1))
+    if bottom is None:
+        return top
+    if frame == "rf":
+        _, c, s = _ajc_doublet(params, "e", n)
+    else:
+        _, c, s = _jc_doublet(params, "g", n)
+        s = -s
+    norm = math.sqrt(2.0 * (1.0 + c))
+    return (1.0 + c) / norm * top + (s / norm) * bottom
+
+
+def _branch_states(
+    params: ModelParams, space: HilbertSpace, frame: str, n: int, t: float
+) -> tuple[StateVector, StateVector | None]:
+    top, bottom = _branch_series(params, space, frame, n, _as_time_array(t).reshape(1))
+    return (
+        StateVector(space, top[0]),
+        None if bottom is None else StateVector(space, bottom[0]),
+    )
+
+
 def rf_branch_states(
     params: ModelParams, space: HilbertSpace, n: int, t: float
 ) -> tuple[StateVector, StateVector | None]:
@@ -214,24 +297,7 @@ def rf_branch_states(
     bottom branch starts at |g,n-1> inside jc-g(n-1) and is None at n = 0.
     Both stay unit norm and mutually orthogonal at every t.
     """
-    _require_headroom(space, n)
-    w = params.omega
-    amps_top = np.zeros(space.dim, dtype=np.complex128)
-    r1, c1, s1 = _jc_doublet(params, "e", n)
-    phase = np.exp(-1j * w * (n + 1) * t)
-    amps_top[space.index("e", n)] = phase * (math.cos(r1 * t) - 1j * c1 * math.sin(r1 * t))
-    amps_top[space.index("g", n + 1)] = phase * (-1j * s1 * math.sin(r1 * t))
-    top = StateVector(space, amps_top)
-    if n == 0:
-        return top, None
-    amps_bot = np.zeros(space.dim, dtype=np.complex128)
-    r2, c2, s2 = _jc_doublet(params, "g", n - 1)
-    phase = np.exp(-1j * w * (n - 1) * t)
-    # transition state -c|g,n-1> + s|e,n-2>, hence the +i c on the bare state
-    amps_bot[space.index("g", n - 1)] = phase * (math.cos(r2 * t) + 1j * c2 * math.sin(r2 * t))
-    if n >= 2:
-        amps_bot[space.index("e", n - 2)] = phase * (-1j * s2 * math.sin(r2 * t))
-    return top, StateVector(space, amps_bot)
+    return _branch_states(params, space, "rf", n, t)
 
 
 def crf_branch_states(
@@ -242,24 +308,7 @@ def crf_branch_states(
     The top branch starts at |g,n> inside ajc-g(n); the bottom branch
     starts at |e,n-1> inside ajc-e(n-1) and is None at n = 0.
     """
-    _require_headroom(space, n)
-    w = params.omega
-    amps_top = np.zeros(space.dim, dtype=np.complex128)
-    rg, cg, sg = _ajc_doublet(params, "g", n)
-    phase = np.exp(-1j * w * (n + 1) * t)
-    # transition state -c|g,n> + s|e,n+1>, hence the +i c on the bare state
-    amps_top[space.index("g", n)] = phase * (math.cos(rg * t) + 1j * cg * math.sin(rg * t))
-    amps_top[space.index("e", n + 1)] = phase * (-1j * sg * math.sin(rg * t))
-    top = StateVector(space, amps_top)
-    if n == 0:
-        return top, None
-    amps_bot = np.zeros(space.dim, dtype=np.complex128)
-    re, ce, se = _ajc_doublet(params, "e", n - 1)
-    phase = np.exp(-1j * w * (n - 1) * t)
-    amps_bot[space.index("e", n - 1)] = phase * (math.cos(re * t) - 1j * ce * math.sin(re * t))
-    if n >= 2:
-        amps_bot[space.index("g", n - 2)] = phase * (-1j * se * math.sin(re * t))
-    return top, StateVector(space, amps_bot)
+    return _branch_states(params, space, "crf", n, t)
 
 
 def evolve_rf(params: ModelParams, space: HilbertSpace, n: int, t: float) -> StateVector:
@@ -270,14 +319,7 @@ def evolve_rf(params: ModelParams, space: HilbertSpace, n: int, t: float) -> Sta
     ajc-e(n). Support spans photon numbers n-2 .. n+1, so n + 2 <= n_max is
     required as headroom for cross-checks against matrix propagation.
     """
-    _require_headroom(space, n)
-    _, c, s = _ajc_doublet(params, "e", n)
-    top, bottom = rf_branch_states(params, space, n, t)
-    norm = math.sqrt(2.0 * (1.0 + c))
-    amps = (1.0 + c) / norm * top.amps
-    if bottom is not None:
-        amps = amps + (s / norm) * bottom.amps
-    return StateVector(space, amps)
+    return StateVector(space, evolve_series(params, space, "rf", n, np.reshape(t, 1))[0])
 
 
 def evolve_crf(params: ModelParams, space: HilbertSpace, n: int, t: float) -> StateVector:
@@ -288,21 +330,7 @@ def evolve_crf(params: ModelParams, space: HilbertSpace, n: int, t: float) -> St
     and -s of jc-g(n). At n = 0 the initial state is |g,0> itself and only
     the top doublet contributes.
     """
-    _require_headroom(space, n)
-    top, bottom = crf_branch_states(params, space, n, t)
-    if n == 0:
-        return top
-    _, c, s = _jc_doublet(params, "g", n)
-    norm = math.sqrt(2.0 * (1.0 + c))
-    amps = (1.0 + c) / norm * top.amps - (s / norm) * bottom.amps
-    return StateVector(space, amps)
-
-
-def _as_time_array(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("times must be finite")
-    return arr
+    return StateVector(space, evolve_series(params, space, "crf", n, np.reshape(t, 1))[0])
 
 
 def observables_rf(params: ModelParams, n: int, t) -> Observables:

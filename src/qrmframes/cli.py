@@ -2,7 +2,8 @@
 run the verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 I/O error.
+3 I/O error, 4 numerical error (a consistency, truncation or Hermiticity
+check failed while computing).
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QrmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -186,6 +186,35 @@ def identity(space: HilbertSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.dim), hermitian=True)
 
 
+def primitive_matrices(space: HilbertSpace) -> dict[str, np.ndarray]:
+    """Real ladder and qubit matrices every operator builder starts from.
+
+    Keys: a, ad (a^dag), ata (a^dag a), sz, sm (s-), sp (s+), eye; ad and
+    sp are transposed views. Entries are set by index in the interleaved
+    basis, so they equal the kron(photon, qubit) construction bit for bit;
+    ata holds sqrt(n)**2, exactly the diagonal of the product ad @ a.
+    """
+    d = space.dim
+    idx = np.arange(d)
+    root = np.sqrt(space.photon_numbers()[2:].astype(float))
+    a = np.zeros((d, d))
+    a[idx[:-2], idx[2:]] = root
+    ata = np.zeros((d, d))
+    ata[idx[2:], idx[2:]] = root * root
+    sz = np.diag(np.where(space.excited_mask(), 0.5, -0.5))
+    sm = np.zeros((d, d))
+    sm[idx[0::2], idx[1::2]] = 1.0
+    return {
+        "a": a,
+        "ad": a.T,
+        "ata": ata,
+        "sz": sz,
+        "sm": sm,
+        "sp": sm.T,
+        "eye": np.eye(d),
+    }
+
+
 def fock_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Annihilation and creation operators on the photon factor.
 
@@ -193,13 +222,8 @@ def fock_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]
     exact on every level, while a a^dag is wrong on the top level; prefer
     the algebraic forms from the model builders when that matters.
     """
-    n_ph = space.n_max + 1
-    lower = np.diag(np.sqrt(np.arange(1.0, n_ph)), k=1)
-    a = np.kron(lower, np.eye(2))
-    return (
-        OperatorMatrix(space, a),
-        OperatorMatrix(space, a.conj().T),
-    )
+    p = primitive_matrices(space)
+    return OperatorMatrix(space, p["a"]), OperatorMatrix(space, p["ad"])
 
 
 def qubit_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -207,14 +231,11 @@ def qubit_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix
 
     s_z has eigenvalues -1/2 on |g> and +1/2 on |e>; s_minus maps |e> to |g>.
     """
-    eye_ph = np.eye(space.n_max + 1)
-    s_z = np.kron(eye_ph, np.diag([-0.5, 0.5]))
-    s_minus = np.kron(eye_ph, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    s_plus = np.kron(eye_ph, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    p = primitive_matrices(space)
     return (
-        OperatorMatrix(space, s_z, hermitian=True),
-        OperatorMatrix(space, s_minus),
-        OperatorMatrix(space, s_plus),
+        OperatorMatrix(space, p["sz"], hermitian=True),
+        OperatorMatrix(space, p["sm"]),
+        OperatorMatrix(space, p["sp"]),
     )
 
 
@@ -222,6 +243,13 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """[a, b] = a b - b a."""
     _require_same_space(a.space, b.space)
     return OperatorMatrix(a.space, a.entries @ b.entries - b.entries @ a.entries)
+
+
+def _propagate(entries: np.ndarray, amps0: np.ndarray, times) -> np.ndarray:
+    """Rows exp(-i H t) psi0 for every t, from one Hermitian eigendecomposition."""
+    evals, vecs = np.linalg.eigh(entries)
+    coeffs = vecs.conj().T @ amps0
+    return (np.exp(-1j * np.outer(times, evals)) * coeffs) @ vecs.T
 
 
 def evolve_with(hamiltonian: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:
@@ -234,10 +262,7 @@ def evolve_with(hamiltonian: OperatorMatrix, psi0: StateVector, t: float) -> Sta
     if not hamiltonian.hermitian:
         raise HermiticityError("evolve_with requires a hermitian-tagged operator")
     _require_same_space(hamiltonian.space, psi0.space)
-    evals, vecs = np.linalg.eigh(hamiltonian.entries)
-    coeffs = vecs.conj().T @ psi0.amps
-    amps = vecs @ (np.exp(-1j * evals * t) * coeffs)
-    return StateVector(psi0.space, amps)
+    return StateVector(psi0.space, _propagate(hamiltonian.entries, psi0.amps, [t])[0])
 
 
 def expectation(psi: StateVector, op: OperatorMatrix) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, OperatorMatrix
+from .hilbert import HilbertSpace, OperatorMatrix, primitive_matrices
 
 __all__ = [
     "ModelParams",
@@ -87,28 +87,9 @@ class ModelParams:
         return cls(omega=omega, omega0=delta + omega, g=g)
 
 
-def _raw_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Primitive real matrices reused by every builder."""
-    n_ph = space.n_max + 1
-    lower = np.diag(np.sqrt(np.arange(1.0, n_ph)), k=1)
-    eye2 = np.eye(2)
-    a = np.kron(lower, eye2)
-    ad = a.T
-    eye_ph = np.eye(n_ph)
-    return {
-        "a": a,
-        "ad": ad,
-        "ata": ad @ a,
-        "sz": np.kron(eye_ph, np.diag([-0.5, 0.5])),
-        "sm": np.kron(eye_ph, np.array([[0.0, 1.0], [0.0, 0.0]])),
-        "sp": np.kron(eye_ph, np.array([[0.0, 0.0], [1.0, 0.0]])),
-        "eye": np.eye(space.dim),
-    }
-
-
 def build_rabi(params: ModelParams, space: HilbertSpace) -> OperatorMatrix:
     """Full Rabi Hamiltonian omega(a^dag a + 1/2) + omega0 s_z + g(a + a^dag)(s- + s+)."""
-    p = _raw_ops(space)
+    p = primitive_matrices(space)
     entries = (
         params.omega * (p["ata"] + 0.5 * p["eye"])
         + params.omega0 * p["sz"]
@@ -123,7 +104,7 @@ def build_number_ops(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatri
     Rotating: a^dag a + s+ s-. Counter-rotating: a^dag a + 1 + s- s+, the
     truncation-exact form; the two differ by 2 s- s+ entrywise.
     """
-    p = _raw_ops(space)
+    p = primitive_matrices(space)
     n_jc = p["ata"] + p["sp"] @ p["sm"]
     n_ajc = p["ata"] + p["eye"] + p["sm"] @ p["sp"]
     return (
@@ -138,7 +119,7 @@ def build_components(params: ModelParams, space: HilbertSpace) -> tuple[Operator
     Each component doubles its own interaction term and subtracts omega/2,
     so that (H_rot + H_counter) / 2 reproduces `build_rabi` entrywise.
     """
-    p = _raw_ops(space)
+    p = primitive_matrices(space)
     n_jc, n_ajc = (op.entries for op in build_number_ops(space))
     h_rot = (
         params.omega * n_jc
@@ -164,7 +145,7 @@ def build_effective(params: ModelParams, space: HilbertSpace) -> tuple[OperatorM
     Rotating frame: omega N + delta s_z + g(a s+ + a^dag s-).
     Counter-rotating frame: omega (N_bar - 1) + delta_bar s_z + g(a s- + a^dag s+).
     """
-    p = _raw_ops(space)
+    p = primitive_matrices(space)
     n_jc, n_ajc = (op.entries for op in build_number_ops(space))
     h_rf = (
         params.omega * n_jc
@@ -189,7 +170,7 @@ def build_transition_ops(params: ModelParams, space: HilbertSpace) -> tuple[Oper
     on the interior block. Counter-rotating: delta_bar s_z + g(a s- + a^dag s+),
     squaring to delta_bar^2/4 + g^2 (N_bar - 1) there.
     """
-    p = _raw_ops(space)
+    p = primitive_matrices(space)
     t_jc = params.delta * p["sz"] + params.g * (p["a"] @ p["sp"] + p["ad"] @ p["sm"])
     t_ajc = params.delta_bar * p["sz"] + params.g * (p["a"] @ p["sm"] + p["ad"] @ p["sp"])
     return (
@@ -221,7 +202,7 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t: float) 
     symmetrically for exp(-i omega t N_bar). Returns the worse of the two
     max-abs entrywise deviations; zero up to roundoff for any t.
     """
-    p = _raw_ops(space)
+    p = primitive_matrices(space)
     h_rabi = build_rabi(params, space).entries
     h_rf, h_crf = (op.entries for op in build_effective(params, space))
     n_jc, n_ajc = (op.entries for op in build_number_ops(space))

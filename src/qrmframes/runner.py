@@ -87,6 +87,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.frame not in ("rf", "crf"):
             raise ConfigError("frame", f"must be 'rf' or 'crf', got {self.frame!r}")
+        for name in ("n", "steps", "n_max", "xi", "epsilon", "g", "tau_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ConfigError(name, f"must not be a boolean, got {value!r}")
         if not isinstance(self.n, int) or self.n < 0:
             raise ConfigError("n", f"must be a non-negative integer, got {self.n!r}")
         for name in ("xi", "epsilon", "g", "tau_max"):
@@ -152,7 +156,7 @@ class ExperimentConfig:
         if "outputs" in cleaned and cleaned["outputs"] is not None:
             cleaned["outputs"] = tuple(cleaned["outputs"])
         for name in ("xi", "epsilon", "g", "tau_max"):
-            if name in cleaned and isinstance(cleaned[name], int):
+            if name in cleaned and type(cleaned[name]) is int:  # bools stay, to be rejected
                 cleaned[name] = float(cleaned[name])
         return cls(**cleaned)
 

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from qrmframes import ExperimentConfig, read_csv
+from qrmframes import ExperimentConfig, NumericConsistencyError, read_csv
+from qrmframes import cli
 from qrmframes.cli import build_parser, main
 
 
@@ -88,6 +89,17 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"frame": "rf", "colour": 3}), encoding="utf-8")
     assert main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
     assert "colour" in capsys.readouterr().err
+
+
+def test_numerical_failure_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(config):
+        raise NumericConsistencyError("column s_z contains non-finite values")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    code = main(["evolve", "--frame", "rf", "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    assert "numerical error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_unwritable_output_is_an_io_error(tmp_path, capsys):

@@ -14,9 +14,11 @@ from qrmframes import (
     build_parity,
     build_rabi,
     build_transition_ops,
+    fock_operators,
     frame_conjugation_check,
     qubit_operators,
 )
+from qrmframes.hilbert import primitive_matrices
 from qrmframes.oracle import interior_commutator_norm
 
 FIG_RF = ModelParams.from_dimensionless(0.0, 0.16)
@@ -232,3 +234,34 @@ def test_frame_conjugation_random_times():
     for params in (FIG_RF, FIG_CRF):
         for t in rng.uniform(0.0, 10.0 / params.omega, size=8):
             assert frame_conjugation_check(params, space, float(t)) <= 1e-12
+
+
+def _kron_primitives(space):
+    """The primitive set built as photon (x) qubit Kronecker products."""
+    n_ph = space.n_max + 1
+    a = np.kron(np.diag(np.sqrt(np.arange(1.0, n_ph)), k=1), np.eye(2))
+    eye_ph = np.eye(n_ph)
+    return {
+        "a": a,
+        "ad": a.T,
+        "ata": a.T @ a,
+        "sz": np.kron(eye_ph, np.diag([-0.5, 0.5])),
+        "sm": np.kron(eye_ph, np.array([[0.0, 1.0], [0.0, 0.0]])),
+        "sp": np.kron(eye_ph, np.array([[0.0, 0.0], [1.0, 0.0]])),
+        "eye": np.eye(space.dim),
+    }
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40, 70])
+def test_primitive_matrices_equal_the_kron_construction(n_max):
+    space = HilbertSpace(n_max)
+    built = primitive_matrices(space)
+    reference = _kron_primitives(space)
+    assert built.keys() == reference.keys()
+    for name, matrix in reference.items():
+        assert built[name].dtype == np.float64
+        assert np.array_equal(built[name], matrix), name
+    a, ad = fock_operators(space)
+    s_z, s_minus, s_plus = qubit_operators(space)
+    for op, name in ((a, "a"), (ad, "ad"), (s_z, "sz"), (s_minus, "sm"), (s_plus, "sp")):
+        assert np.array_equal(op.entries, reference[name]), name

@@ -1,5 +1,7 @@
 """The brute-force propagator and its comparisons against the closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,10 +14,16 @@ from qrmframes import (
     StateVector,
     TruncationError,
     ajc_eigenstate,
+    OperatorMatrix,
     basis_state,
     build_effective,
     build_number_ops,
     compare_scenario,
+    evolve_crf,
+    evolve_rf,
+    evolve_series,
+    evolve_with,
+    expectation,
     interior_commutator_norm,
     interior_projector,
     jc_eigenstate,
@@ -187,3 +195,84 @@ def test_interior_commutator_norm_keep_guard():
     n_jc, n_ajc = build_number_ops(space)
     with pytest.raises(ValueError):
         interior_commutator_norm(n_jc, n_ajc, 4)
+
+
+# array paths against the per-state and per-time forms they replace
+
+
+def _random_hermitian(rng, dim):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (m + m.conj().T)
+
+
+def test_observable_series_matches_per_state_expectation_on_dense_operator():
+    rng = np.random.default_rng(20210317)
+    space = HilbertSpace(6)
+    op = OperatorMatrix(space, _random_hermitian(rng, space.dim), hermitian=True)
+    assert np.count_nonzero(op.entries - np.diag(np.diag(op.entries))) > 0
+    h = OperatorMatrix(space, _random_hermitian(rng, space.dim), hermitian=True)
+    states = propagate_series(h, basis_state(space, "g", 2), np.linspace(0.0, 3.0, 37))
+    series = observable_series(states, {"dense": op})["dense"]
+    expected = [expectation(psi, op) for psi in states]
+    assert np.max(np.abs(series - expected)) <= 1e-12
+
+
+def test_propagate_series_matches_evolve_with_at_every_time():
+    rng = np.random.default_rng(7)
+    space = HilbertSpace(8)
+    grid = np.linspace(0.0, 40.0, 51)
+    _, h_crf = build_effective(FIG_CRF, space)
+    h_rand = OperatorMatrix(space, _random_hermitian(rng, space.dim), hermitian=True)
+    for h in (h_crf, h_rand):
+        psi0, _ = jc_eigenstate(FIG_CRF, space, 3, -1)
+        for t, psi in zip(grid, propagate_series(h, psi0, grid)):
+            assert np.max(np.abs(psi.amps - evolve_with(h, psi0, float(t)).amps)) <= 1e-13
+
+
+def _doublet(g, m, half_detuning):
+    rabi = math.hypot(g * math.sqrt(m), half_detuning)
+    if rabi == 0.0:
+        return 0.0, 0.0, 0.0
+    return rabi, half_detuning / rabi, g * math.sqrt(m) / rabi
+
+
+def _loop_evolve(params, space, frame, n, t):
+    """Closed-form state at one time, one doublet at a time in scalar math."""
+    g, half, half_bar = params.g, 0.5 * params.delta, 0.5 * params.delta_bar
+
+    def branch(doublet, photons, bare, partner, twist):
+        r, c, s = doublet
+        out = np.zeros(space.dim, dtype=np.complex128)
+        phase = np.exp(-1j * params.omega * photons * t)
+        out[space.index(*bare)] = phase * (math.cos(r * t) + twist * c * math.sin(r * t))
+        if partner[1] >= 0:
+            out[space.index(*partner)] = phase * (-1j * s * math.sin(r * t))
+        return out
+
+    if frame == "rf":
+        top = branch(_doublet(g, n + 1, half), n + 1, ("e", n), ("g", n + 1), -1j)
+        _, c, s = _doublet(g, n, half_bar)
+        if n == 0:
+            return (1.0 + c) / math.sqrt(2.0 * (1.0 + c)) * top
+        bottom = branch(_doublet(g, n - 1, half), n - 1, ("g", n - 1), ("e", n - 2), 1j)
+    else:
+        top = branch(_doublet(g, n + 1, half_bar), n + 1, ("g", n), ("e", n + 1), 1j)
+        if n == 0:
+            return top
+        bottom = branch(_doublet(g, n - 1, half_bar), n - 1, ("e", n - 1), ("g", n - 2), -1j)
+        _, c, s = _doublet(g, n, half)
+        s = -s
+    norm = math.sqrt(2.0 * (1.0 + c))
+    return (1.0 + c) / norm * top + (s / norm) * bottom
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_grid_closed_form_matches_scalar_evolution(n):
+    space = HilbertSpace(n + 4)
+    grid = np.linspace(0.0, 30.0, 61)
+    for frame, params, scalar in (("rf", FIG_RF, evolve_rf), ("crf", FIG_CRF, evolve_crf)):
+        series = evolve_series(params, space, frame, n, grid)
+        assert series.shape == (grid.size, space.dim)
+        for t, row in zip(grid, series):
+            assert np.max(np.abs(row - scalar(params, space, n, float(t)).amps)) <= 1e-14
+            assert np.max(np.abs(row - _loop_evolve(params, space, frame, n, float(t)))) <= 1e-14

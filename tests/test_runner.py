@@ -90,6 +90,27 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", True), ("steps", True), ("n_max", True), ("xi", True),
+         ("epsilon", True), ("g", True), ("tau_max", True), ("xi", False)],
+    )
+    def test_booleans_are_rejected_by_name(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(frame="rf", **{field: value})
+        assert err.value.field == field
+
+    def test_booleans_summed_to_an_integer_are_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(frame="rf", n=True, xi=True, epsilon=True, steps=True + True)
+        assert err.value.field == "n"
+
+    @pytest.mark.parametrize("field", ["n", "steps", "n_max", "xi", "epsilon", "g", "tau_max"])
+    def test_json_booleans_are_rejected_by_name(self, field):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_json(json.dumps({"frame": "rf", field: True}))
+        assert err.value.field == field
+
     def test_from_dict_coerces_integer_floats(self):
         cfg = ExperimentConfig.from_dict({"frame": "rf", "xi": 1, "tau_max": 10})
         assert isinstance(cfg.xi, float)
