@@ -14,14 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qrmframes import (
-    ModelParams,
-    ajc_branch,
-    beat_modulation_period,
-    jc_branch,
-    observables_crf,
-    observables_rf,
-)
+from qrmframes import FRAMES, ModelParams, beat_modulation_period, observables
 
 FRAME_PARAMS = {
     "rf": ModelParams.from_dimensionless(0.0, 0.16),
@@ -29,23 +22,24 @@ FRAME_PARAMS = {
 }
 
 
-def branch_pair(frame: str, params: ModelParams, n: int):
-    if frame == "rf":
-        return jc_branch(params, "e", n), jc_branch(params, "g", n - 1)
-    return ajc_branch(params, "g", n), ajc_branch(params, "e", n - 1)
+def branch_pair(frame: str, params: ModelParams, n: int) -> tuple[float, float]:
+    """Rabi frequencies of the top and bottom doublets the frame's state evolves in."""
+    spec = FRAMES[frame]
+    top, _, _ = spec.doublet(params, spec.top_atom, n)
+    bottom, _, _ = spec.doublet(params, spec.bottom_atom, n - 1)
+    return top, bottom
 
 
 def scan_row(frame: str, n: int, periods: float) -> dict:
     params = FRAME_PARAMS[frame]
     top, bottom = branch_pair(frame, params, n)
-    predicted = params.g * math.pi / (top.rabi - bottom.rabi)
+    predicted = params.g * math.pi / (top - bottom)
 
     window = periods * predicted
     # at least eight samples per cycle of the fastest squared-series component
-    samples = max(4000, int(16.0 * window * top.rabi / (math.pi * params.g)) + 1)
+    samples = max(4000, int(16.0 * window * top / (math.pi * params.g)) + 1)
     tau = np.linspace(0.0, window, samples)
-    observe = observables_rf if frame == "rf" else observables_crf
-    series = observe(params, n, tau / params.g).atomic_excitation
+    series = observables(params, frame, n, tau / params.g).atomic_excitation
     measured = beat_modulation_period(tau, series)
     return {
         "frame": frame,

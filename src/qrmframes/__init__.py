@@ -40,7 +40,9 @@ from .model import (
     frame_conjugation_check,
 )
 from .analytic import (
+    FRAMES,
     BranchCoeffs,
+    Frame,
     Observables,
     ajc_branch,
     ajc_eigenstate,
@@ -48,8 +50,10 @@ from .analytic import (
     evolve_crf,
     evolve_rf,
     evolve_series,
+    initial_state,
     jc_branch,
     jc_eigenstate,
+    observables,
     observables_crf,
     observables_rf,
     rf_branch_states,

@@ -24,7 +24,8 @@ frame, antinormal order (<s- s+>, <a a^dag>) in the counter-rotating frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,9 @@ from .hilbert import HilbertSpace, StateVector
 from .model import ModelParams
 
 __all__ = [
+    "FRAMES",
     "BranchCoeffs",
+    "Frame",
     "Observables",
     "jc_branch",
     "ajc_branch",
@@ -44,6 +47,9 @@ __all__ = [
     "evolve_rf",
     "evolve_crf",
     "evolve_series",
+    "frame_spec",
+    "initial_state",
+    "observables",
     "observables_rf",
     "observables_crf",
 ]
@@ -80,13 +86,7 @@ class Observables:
     n_ajc: np.ndarray | float
 
     def as_dict(self) -> dict[str, np.ndarray | float]:
-        return {
-            "s_z": self.s_z,
-            "atomic_excitation": self.atomic_excitation,
-            "photon": self.photon,
-            "n_jc": self.n_jc,
-            "n_ajc": self.n_ajc,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_family_args(atom: str, n: int) -> None:
@@ -206,10 +206,65 @@ def _require_headroom(space: HilbertSpace, n: int) -> None:
         )
 
 
-# frame -> (doublet of its family, atom of the top branch's bare state); the top
-# branch starts at |atom, n>, the bottom branch at |other atom, n-1>
-_FRAME_BRANCHES = {"rf": (_jc_doublet, "e"), "crf": (_ajc_doublet, "g")}
 _OTHER_ATOM = {"e": "g", "g": "e"}
+
+
+class Frame(NamedTuple):
+    """One frame's physics: the state evolves in `doublet` doublets at
+    |top_atom, n> and |bottom_atom, n-1>, starting from the `sign` branch of
+    `eigenstate`, which the other family's doublet at |top_atom, n>
+    (`dressing`) dresses. `doublet(params, atom, n)` gives (rabi, c, s) of
+    the doublet at |atom, n>, zeros when it is degenerate. `hamiltonian`
+    indexes `build_effective`, `columns` maps reported columns to raw
+    expectations, and `conserved` / `varying` name the raw numbers.
+    """
+
+    doublet: Callable[[ModelParams, str, int], tuple[float, float, float]]
+    top_atom: str
+    eigenstate: Callable[..., tuple[StateVector, float]]
+    sign: int
+    hamiltonian: int
+    columns: dict[str, str]
+    conserved: str
+    varying: str
+
+    @property
+    def bottom_atom(self) -> str:
+        return _OTHER_ATOM[self.top_atom]
+
+    @property
+    def dressing(self) -> Callable[[ModelParams, str, int], tuple[float, float, float]]:
+        return _ajc_doublet if self.doublet is _jc_doublet else _jc_doublet
+
+
+FRAMES = {
+    "rf": Frame(
+        _jc_doublet, "e", ajc_eigenstate, +1, 0,
+        {"s_z": "s_z", "atomic_excitation": "sp_sm", "photon": "ad_a",
+         "n_jc": "n_jc", "n_ajc": "n_ajc"},
+        "n_jc", "n_ajc",
+    ),
+    "crf": Frame(
+        _ajc_doublet, "g", jc_eigenstate, -1, 1,
+        {"s_z": "s_z", "atomic_excitation": "sm_sp", "photon": "a_ad",
+         "n_jc": "n_jc", "n_ajc": "n_ajc"},
+        "n_ajc", "n_jc",
+    ),
+}
+
+
+def frame_spec(frame: str) -> Frame:
+    """The `FRAMES` entry of a frame name; anything but 'rf' or 'crf' raises ValueError."""
+    if frame not in FRAMES:
+        raise ValueError(f"frame must be 'rf' or 'crf', got {frame!r}")
+    return FRAMES[frame]
+
+
+def initial_state(params: ModelParams, space: HilbertSpace, frame: str, n: int) -> StateVector:
+    """Plus-branch counter-rotating eigenstate (rf) or minus-branch rotating
+    eigenstate (crf) at n; at n = 0 the bare |e,0> or |g,0>."""
+    spec = frame_spec(frame)
+    return spec.eigenstate(params, space, n, spec.sign)[0]
 
 
 def _as_time_array(t) -> np.ndarray:
@@ -227,17 +282,16 @@ def _branch_series(
     The top branch lives in the doublet at |atom, n> with partner photon
     number n+1 and phase photon number n+1; the bottom branch in the doublet
     at |other, n-1> with partner photon number n-2 and phase photon number
-    n-1, and is None at n = 0. An e-family transition state is
-    c|bare> + s|partner> and a g-family one -c|bare> + s|partner>, hence
-    -i c or +i c on the bare amplitude.
+    n-1, and is None at n = 0. Both stay unit norm and mutually orthogonal
+    at every t. An e-family transition state is c|bare> + s|partner> and a
+    g-family one -c|bare> + s|partner>, hence -i c or +i c on the bare
+    amplitude.
     """
-    if frame not in _FRAME_BRANCHES:
-        raise ValueError(f"frame must be 'rf' or 'crf', got {frame!r}")
+    spec = frame_spec(frame)
     _require_headroom(space, n)
-    doublet, top_atom = _FRAME_BRANCHES[frame]
 
     def evolve(atom: str, m: int, phase_m: int, partner_m: int) -> np.ndarray:
-        rabi, c, s = doublet(params, atom, m)
+        rabi, c, s = spec.doublet(params, atom, m)
         phase = np.exp(-1j * params.omega * phase_m * tt)
         cos, sin = np.cos(rabi * tt), np.sin(rabi * tt)
         twist = -1j if atom == "e" else 1j
@@ -247,10 +301,10 @@ def _branch_series(
             amps[:, space.index(_OTHER_ATOM[atom], partner_m)] = phase * (-1j * s * sin)
         return amps
 
-    top = evolve(top_atom, n, n + 1, n + 1)
+    top = evolve(spec.top_atom, n, n + 1, n + 1)
     if n == 0:
         return top, None
-    return top, evolve(_OTHER_ATOM[top_atom], n - 1, n - 1, n - 2)
+    return top, evolve(spec.bottom_atom, n - 1, n - 1, n - 2)
 
 
 def evolve_series(
@@ -258,22 +312,18 @@ def evolve_series(
 ) -> np.ndarray:
     """Closed-form frame state at every grid time, as a (T, d) amplitude array.
 
-    Frame 'rf' starts from the plus-branch counter-rotating eigenstate at
-    n, split over its two doublets with weights (1 + c) and s of ajc-e(n);
-    frame 'crf' from the minus-branch rotating eigenstate, with weights
-    (1 + c) and -s of jc-g(n). At n = 0 the initial state is the top
-    branch's bare state. Support spans photon numbers n-2 .. n+1, so
-    n + 2 <= n_max is required as headroom for cross-checks against matrix
-    propagation.
+    The frame's initial state (see `initial_state`) splits over its two
+    doublets with weights (1 + c) and sign * s of the dressing pair; at
+    n = 0 it is the top branch's bare state. Support spans photon numbers
+    n-2 .. n+1, so n + 2 <= n_max is required as headroom for cross-checks
+    against matrix propagation.
     """
     top, bottom = _branch_series(params, space, frame, n, _as_time_array(grid).reshape(-1))
     if bottom is None:
         return top
-    if frame == "rf":
-        _, c, s = _ajc_doublet(params, "e", n)
-    else:
-        _, c, s = _jc_doublet(params, "g", n)
-        s = -s
+    spec = FRAMES[frame]
+    _, c, s = spec.dressing(params, spec.top_atom, n)
+    s = spec.sign * s
     norm = math.sqrt(2.0 * (1.0 + c))
     return (1.0 + c) / norm * top + (s / norm) * bottom
 
@@ -291,98 +341,79 @@ def _branch_states(
 def rf_branch_states(
     params: ModelParams, space: HilbertSpace, n: int, t: float
 ) -> tuple[StateVector, StateVector | None]:
-    """The two rotating-frame doublet evolutions entering the full state.
-
-    The top branch starts at |e,n> and oscillates inside jc-e(n); the
-    bottom branch starts at |g,n-1> inside jc-g(n-1) and is None at n = 0.
-    Both stay unit norm and mutually orthogonal at every t.
-    """
+    """Rotating-frame branches: |e,n> inside jc-e(n), |g,n-1> inside jc-g(n-1)."""
     return _branch_states(params, space, "rf", n, t)
 
 
 def crf_branch_states(
     params: ModelParams, space: HilbertSpace, n: int, t: float
 ) -> tuple[StateVector, StateVector | None]:
-    """The two counter-rotating doublet evolutions entering the full state.
-
-    The top branch starts at |g,n> inside ajc-g(n); the bottom branch
-    starts at |e,n-1> inside ajc-e(n-1) and is None at n = 0.
-    """
+    """Counter-rotating branches: |g,n> inside ajc-g(n), |e,n-1> inside ajc-e(n-1)."""
     return _branch_states(params, space, "crf", n, t)
 
 
 def evolve_rf(params: ModelParams, space: HilbertSpace, n: int, t: float) -> StateVector:
-    """Closed-form rotating-frame state at time t.
-
-    The initial state is the plus-branch counter-rotating eigenstate at n,
-    decomposed over the two rotating doublets with weights (1 + c) and s of
-    ajc-e(n). Support spans photon numbers n-2 .. n+1, so n + 2 <= n_max is
-    required as headroom for cross-checks against matrix propagation.
-    """
+    """Closed-form rotating-frame state at time t (`evolve_series` at one point)."""
     return StateVector(space, evolve_series(params, space, "rf", n, np.reshape(t, 1))[0])
 
 
 def evolve_crf(params: ModelParams, space: HilbertSpace, n: int, t: float) -> StateVector:
-    """Closed-form counter-rotating-frame state at time t.
-
-    The initial state is the minus-branch rotating eigenstate at n,
-    decomposed over the two counter-rotating doublets with weights (1 + c)
-    and -s of jc-g(n). At n = 0 the initial state is |g,0> itself and only
-    the top doublet contributes.
-    """
+    """Closed-form counter-rotating-frame state at time t (`evolve_series` at one point)."""
     return StateVector(space, evolve_series(params, space, "crf", n, np.reshape(t, 1))[0])
 
 
-def observables_rf(params: ModelParams, n: int, t) -> Observables:
-    """Rotating-frame observables of the evolved plus-branch state.
+def observables(params: ModelParams, frame: str, n: int, t) -> Observables:
+    """Frame-convention observables of the evolved initial state.
 
-    Accepts a scalar time or an array and broadcasts. n_jc is conserved at
-    n + 1 - s^2/(1 + c) with the ajc-e(n) dressing pair; everything else
-    oscillates at the two doublet Rabi frequencies.
+    Accepts a scalar time or an array and broadcasts. The two doublets
+    carry weights (1 + c)^2 and s^2 with the dressing pair of the initial
+    eigenstate, and <s_z> swings with the sign of the top branch's bare
+    atom. The frame's own number is conserved at its initial value
+    n + 1 - s^2/(1 + c) (rotating) or n + 2 - s^2/(1 + c)
+    (counter-rotating); at n = 0 the initial state is bare and that weight
+    vanishes. Calls go through the module's `observables_rf` /
+    `observables_crf`, so wrappers bound over those (bench/tracing.py) see them.
     """
+    frame_spec(frame)
+    return globals()[f"observables_{frame}"](params, n, t)
+
+
+def _observables(params: ModelParams, frame: str, n: int, t) -> Observables:
+    spec = FRAMES[frame]
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     tt = _as_time_array(t)
-    _, c, s = _ajc_doublet(params, "e", n)
-    r1, _, s1 = _jc_doublet(params, "e", n)
+    r1, _, s1 = spec.doublet(params, spec.top_atom, n)
     top_factor = 1.0 - 2.0 * s1**2 * np.sin(r1 * tt) ** 2
-    if n >= 1:
-        r2, _, s2 = _jc_doublet(params, "g", n - 1)
-        bottom_factor = 1.0 - 2.0 * s2**2 * np.sin(r2 * tt) ** 2
-    else:
+    if n == 0:
+        c, s = 1.0, 0.0
         bottom_factor = np.ones_like(tt)
+    else:
+        _, c, s = spec.dressing(params, spec.top_atom, n)
+        r2, _, s2 = spec.doublet(params, spec.bottom_atom, n - 1)
+        bottom_factor = 1.0 - 2.0 * s2**2 * np.sin(r2 * tt) ** 2
     weight = s**2 / (1.0 + c)
-    s_z = ((1.0 + c) ** 2 * top_factor - s**2 * bottom_factor) / (4.0 * (1.0 + c))
-    atomic = 0.5 + s_z
-    photon = (n + 0.5 - weight) - s_z
-    n_jc = (n + 1.0 - weight) + 0.0 * s_z
-    n_ajc = (n - weight) + 2.0 * (1.0 - s_z)
-    return Observables(s_z, atomic, photon, n_jc, n_ajc)
+    swing = ((1.0 + c) ** 2 * top_factor - s**2 * bottom_factor) / (4.0 * (1.0 + c))
+    # top atom e, normal order and a conserved N in the rotating frame;
+    # top atom g, antinormal order and a conserved N_bar in the other
+    if frame == "rf":
+        s_z = swing
+        photon = (n + 0.5 - weight) - swing
+        n_jc = (n + 1.0 - weight) + 0.0 * swing
+        n_ajc = (n - weight) + 2.0 * (1.0 - swing)
+    else:
+        s_z = -swing
+        photon = (n + 1.5 - weight) - swing
+        n_jc = (n + 1.0 - weight) - 2.0 * swing
+        n_ajc = (n + 2.0 - weight) + 0.0 * swing
+    return Observables(s_z, 0.5 + swing, photon, n_jc, n_ajc)
+
+
+def observables_rf(params: ModelParams, n: int, t) -> Observables:
+    """Rotating-frame `observables`: <s+ s->, <a^dag a>, conserved n_jc."""
+    return _observables(params, "rf", n, t)
 
 
 def observables_crf(params: ModelParams, n: int, t) -> Observables:
-    """Counter-rotating-frame observables of the evolved minus-branch state.
-
-    atomic_excitation is <s- s+> and photon is <a a^dag>. n_ajc is conserved
-    at n + 2 - s^2/(1 + c) with the jc-g(n) dressing pair; at n = 0 the
-    initial state is exactly |g,0> and that weight vanishes.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    tt = _as_time_array(t)
-    rg, _, sg = _ajc_doublet(params, "g", n)
-    top_factor = 1.0 - 2.0 * sg**2 * np.sin(rg * tt) ** 2
-    if n == 0:
-        weight = 0.0
-        s_z = -0.5 * top_factor
-    else:
-        _, c, s = _jc_doublet(params, "g", n)
-        re, _, se = _ajc_doublet(params, "e", n - 1)
-        bottom_factor = 1.0 - 2.0 * se**2 * np.sin(re * tt) ** 2
-        weight = s**2 / (1.0 + c)
-        s_z = -((1.0 + c) ** 2 * top_factor - s**2 * bottom_factor) / (4.0 * (1.0 + c))
-    atomic = 0.5 - s_z
-    photon = (n + 1.5 - weight) + s_z
-    n_jc = (n + 1.0 - weight) + 2.0 * s_z
-    n_ajc = (n + 2.0 - weight) + 0.0 * s_z
-    return Observables(s_z, atomic, photon, n_jc, n_ajc)
+    """Counter-rotating-frame `observables`: <s- s+>, <a a^dag>, conserved n_ajc."""
+    return _observables(params, "crf", n, t)

@@ -1,9 +1,10 @@
 """Command line interface: evolve one scenario, rebuild the figure set, or
 run the verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 I/O error, 4 numerical error (a consistency, truncation or Hermiticity
-check failed while computing).
+Exit codes: 0 success, 1 verification failure, 2 invalid configuration
+(including a verify --tol that is not a finite number > 0 or a --nmax
+below 2), 3 I/O error, 4 numerical error (a consistency, truncation or
+Hermiticity check failed while computing).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, QrmError
-from .runner import ExperimentConfig, emit_csv, emit_svg, reproduce_figures, run_experiment, verify_suite
+from .runner import COLUMNS, ExperimentConfig, emit_csv, emit_svg, reproduce_figures, run_experiment, verify_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--config", type=Path, help="JSON config file; flags override its fields")
     evolve.add_argument("--out", type=Path, help="CSV output path", required=True)
     evolve.add_argument("--svg", type=Path, help="optional SVG output path")
-    evolve.add_argument("--column", default="atomic_excitation",
+    evolve.add_argument("--column", default="atomic_excitation", choices=COLUMNS,
                         help="column rendered into the SVG (default atomic_excitation)")
     evolve.set_defaults(func=cmd_evolve)
 

@@ -194,28 +194,31 @@ def build_parity(space: HilbertSpace, k: int) -> OperatorMatrix:
     return OperatorMatrix(space, np.diag(signs), hermitian=True)
 
 
-def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t: float) -> float:
+def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> float:
     """Deviation of the conjugated Rabi Hamiltonian from its frame split.
 
     Conjugating with exp(-i omega t N) must leave the rotating effective
     Hamiltonian plus a counter-rotating term oscillating at 2 omega, and
-    symmetrically for exp(-i omega t N_bar). Returns the worse of the two
-    max-abs entrywise deviations; zero up to roundoff for any t.
+    symmetrically for exp(-i omega t N_bar). t is a time or an array of
+    times; returns the worst max-abs entrywise deviation over both frames
+    and all times, zero up to roundoff for any t. The operators are built
+    once; the times are visited one by one so memory stays O(d^2).
     """
     p = primitive_matrices(space)
     h_rabi = build_rabi(params, space).entries
     h_rf, h_crf = (op.entries for op in build_effective(params, space))
     n_jc, n_ajc = (op.entries for op in build_number_ops(space))
     w, g = params.omega, params.g
-    slow = np.exp(-2j * w * t)
-    fast = np.exp(2j * w * t)
-
-    def conjugate(diag_op: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * w * t * np.real(np.diag(diag_op)))
-        return phases.conj()[:, None] * h_rabi * phases[None, :]
-
-    expected_rf = h_rf + g * (slow * p["a"] @ p["sm"] + fast * p["ad"] @ p["sp"])
-    expected_crf = h_crf + g * (slow * p["a"] @ p["sp"] + fast * p["ad"] @ p["sm"])
-    dev_rf = float(np.max(np.abs(conjugate(n_jc) - expected_rf)))
-    dev_crf = float(np.max(np.abs(conjugate(n_ajc) - expected_crf)))
-    return max(dev_rf, dev_crf)
+    splits = (
+        (np.real(np.diag(n_jc)), h_rf, p["a"] @ p["sm"], p["ad"] @ p["sp"]),
+        (np.real(np.diag(n_ajc)), h_crf, p["a"] @ p["sp"], p["ad"] @ p["sm"]),
+    )
+    devs = []
+    for tk in np.reshape(np.asarray(t, dtype=float), -1):
+        slow, fast = np.exp(-2j * w * tk), np.exp(2j * w * tk)
+        for numbers, h_eff, lowered, raised in splits:
+            phases = np.exp(-1j * w * tk * numbers)
+            conjugated = phases.conj()[:, None] * h_rabi * phases[None, :]
+            expected = h_eff + g * (slow * lowered + fast * raised)
+            devs.append(np.max(np.abs(conjugated - expected)))
+    return float(np.max(devs))

@@ -40,25 +40,14 @@ OBS_TOL = 1e-9
 RAW_NAMES = ("s_z", "sp_sm", "sm_sp", "ad_a", "a_ad", "n_jc", "n_ajc")
 
 # reported column -> raw expectation, per frame
-RF_COLUMN_MAP = {
-    "s_z": "s_z",
-    "atomic_excitation": "sp_sm",
-    "photon": "ad_a",
-    "n_jc": "n_jc",
-    "n_ajc": "n_ajc",
-}
-CRF_COLUMN_MAP = {
-    "s_z": "s_z",
-    "atomic_excitation": "sm_sp",
-    "photon": "a_ad",
-    "n_jc": "n_jc",
-    "n_ajc": "n_ajc",
-}
+RF_COLUMN_MAP = analytic.FRAMES["rf"].columns
+CRF_COLUMN_MAP = analytic.FRAMES["crf"].columns
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Outcome of one closed-form versus propagator scenario."""
+    """Outcome of one closed-form versus propagator scenario, with the
+    propagated trajectory (states) and its `standard_observables` series (raw)."""
 
     scenario: str
     frame: str
@@ -68,6 +57,8 @@ class ComparisonReport:
     max_state_dev: float
     max_obs_dev: dict[str, float]
     passed: bool
+    states: list[StateVector]
+    raw: dict[str, np.ndarray]
 
     def worst_obs_dev(self) -> float:
         return max(self.max_obs_dev.values())
@@ -146,24 +137,13 @@ def compare_scenario(
     physical; multiply by g for the dimensionless axis. A truncation that
     cannot hold the analytic support raises TruncationError.
     """
-    frame = frame.lower()
-    if frame not in ("rf", "crf"):
-        raise ValueError(f"frame must be 'rf' or 'crf', got {frame!r}")
+    spec = analytic.frame_spec(frame)
     if n_max is None:
         n_max = n + 20
     space = HilbertSpace(n_max)
     grid = np.asarray(grid, dtype=float)
-    h_rf, h_crf = build_effective(params, space)
-    if frame == "rf":
-        psi0, _ = analytic.ajc_eigenstate(params, space, n, +1)
-        hamiltonian = h_rf
-        obs_fn = analytic.observables_rf
-        column_map = RF_COLUMN_MAP
-    else:
-        psi0, _ = analytic.jc_eigenstate(params, space, n, -1)
-        hamiltonian = h_crf
-        obs_fn = analytic.observables_crf
-        column_map = CRF_COLUMN_MAP
+    hamiltonian = build_effective(params, space)[spec.hamiltonian]
+    psi0 = analytic.initial_state(params, space, frame, n)
 
     analytic_amps = analytic.evolve_series(params, space, frame, n, grid)
     numeric_states = propagate_series(hamiltonian, psi0, grid)
@@ -171,10 +151,10 @@ def compare_scenario(
     state_dev = float(np.max(np.abs(analytic_amps - numeric_amps), initial=0.0))
 
     raw = observable_series(numeric_states, standard_observables(space))
-    predicted = obs_fn(params, n, grid).as_dict()
+    predicted = analytic.observables(params, frame, n, grid).as_dict()
     obs_dev = {
         column: float(np.max(np.abs(np.broadcast_to(predicted[column], grid.shape) - raw[raw_name])))
-        for column, raw_name in column_map.items()
+        for column, raw_name in spec.columns.items()
     }
     passed = state_dev <= state_tol and all(v <= obs_tol for v in obs_dev.values())
     label = f"{frame} n={n} xi={params.xi:.6g} eps={params.epsilon:.6g}"
@@ -187,6 +167,8 @@ def compare_scenario(
         max_state_dev=state_dev,
         max_obs_dev=obs_dev,
         passed=passed,
+        states=numeric_states,
+        raw=raw,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, NumericConsistencyError, TruncationError
 from .hilbert import HilbertSpace
 from .model import ModelParams, build_components, build_effective, build_number_ops, build_parity, build_rabi, build_transition_ops, frame_conjugation_check
-from .oracle import compare_scenario, interior_commutator_norm, observable_series, propagate_series, standard_observables
+from .oracle import compare_scenario, interior_commutator_norm, propagate_series
 from . import analytic
 
 __all__ = [
@@ -112,8 +112,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     "n_max", f"must be an integer >= n + 2 = {self.n + 2}, got {self.n_max!r}"
                 )
-        if not isinstance(self.outputs, tuple):
-            object.__setattr__(self, "outputs", tuple(self.outputs))
+        if not isinstance(self.outputs, (list, tuple)) or not all(isinstance(k, str) for k in self.outputs):
+            raise ConfigError("outputs", f"must be a list of artifact kinds, got {self.outputs!r}")
+        object.__setattr__(self, "outputs", tuple(self.outputs))
         unknown = set(self.outputs) - {"csv", "svg"}
         if unknown:
             raise ConfigError("outputs", f"unknown artifact kinds {sorted(unknown)}")
@@ -153,8 +154,6 @@ class ExperimentConfig:
         if "frame" not in data:
             raise ConfigError("frame", "required field is missing")
         cleaned = dict(data)
-        if "outputs" in cleaned and cleaned["outputs"] is not None:
-            cleaned["outputs"] = tuple(cleaned["outputs"])
         for name in ("xi", "epsilon", "g", "tau_max"):
             if name in cleaned and type(cleaned[name]) is int:  # bools stay, to be rejected
                 cleaned[name] = float(cleaned[name])
@@ -192,11 +191,7 @@ def run_experiment(config: ExperimentConfig) -> TimeSeriesBundle:
     """
     params = config.params()
     tau = config.tau_grid()
-    t = tau / config.g
-    if config.frame == "rf":
-        obs = analytic.observables_rf(params, config.n, t)
-    else:
-        obs = analytic.observables_crf(params, config.n, t)
+    obs = analytic.observables(params, config.frame, config.n, tau / config.g)
     series = {}
     for name, values in obs.as_dict().items():
         arr = np.broadcast_to(np.asarray(values, dtype=float), tau.shape).copy()
@@ -444,8 +439,13 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
     check (lower-bound pattern checks keep their thresholds). n_max, when
     given, forces the photon truncation everywhere, including scenarios
     that then no longer fit; those surface as failed checks rather than
-    exceptions.
+    exceptions. A tol that is not a finite number > 0, or an n_max below
+    2, raises ConfigError.
     """
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ConfigError("tol", f"must be a finite number > 0, got {tol!r}")
+    if n_max is not None and (not isinstance(n_max, (int, np.integer)) or n_max < 2):
+        raise ConfigError("n_max", f"must be an integer >= 2, got {n_max!r}")
     start = time.perf_counter()
     checks: list[CheckResult] = []
 
@@ -524,10 +524,7 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
                 parity_dev = max(parity_dev, float(np.max(np.abs(pi_k @ pi_k - np.eye(space.dim)))))
         bounded(f"parity identities {tag}", parity_dev, 1e-12)
 
-        conj_dev = max(
-            frame_conjugation_check(params, space, t)
-            for t in rng.uniform(0.0, 30.0, size=20)
-        )
+        conj_dev = frame_conjugation_check(params, space, rng.uniform(0.0, 30.0, size=20))
         bounded(f"frame conjugation {tag}", conj_dev, 1e-12)
 
         closure_dev = 0.0
@@ -540,68 +537,37 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
                 closure_dev = max(closure_dev, abs(bc.c**2 + bc.s**2 - 1.0))
         bounded(f"dressing closure {tag}", closure_dev, 1e-14)
 
-    scenario_params = {"rf": param_sets["rf-params"], "crf": param_sets["crf-params"]}
     tau_grid = np.linspace(0.0, 25.0, 200)
-    for frame in ("rf", "crf"):
-        params = scenario_params[frame]
+    for frame, spec in analytic.FRAMES.items():
+        params = param_sets[f"{frame}-params"]
+        grid = tau_grid / params.g
         for n in (0, 1, 5, 40):
             scenario_n_max = (n + 20) if n_max is None else n_max
             label = f"{frame} n={n}"
             try:
-                report = compare_scenario(
-                    params, frame, n, tau_grid / params.g, n_max=scenario_n_max
-                )
+                report = compare_scenario(params, frame, n, grid, n_max=scenario_n_max)
             except TruncationError as exc:
                 failed(f"scenario {label} state dev", f"truncation too small: {exc}")
                 continue
             bounded(f"scenario {label} state dev", report.max_state_dev, 1e-9)
             bounded(f"scenario {label} observable dev", report.worst_obs_dev(), 1e-9)
 
-            scen_space = HilbertSpace(scenario_n_max)
-            h_pair = build_effective(params, scen_space)
-            if frame == "rf":
-                psi0, _ = analytic.ajc_eigenstate(params, scen_space, n, +1)
-                hamiltonian = h_pair[0]
-                conserved, varying = "n_jc", "n_ajc"
-            else:
-                psi0, _ = analytic.jc_eigenstate(params, scen_space, n, -1)
-                hamiltonian = h_pair[1]
-                conserved, varying = "n_ajc", "n_jc"
-            states = propagate_series(hamiltonian, psi0, tau_grid / params.g)
-            raw = observable_series(states, standard_observables(scen_space))
-            bounded(
-                f"conserved {conserved} flat {label}",
-                float(raw[conserved].max() - raw[conserved].min()),
-                1e-12,
-            )
-            exceeds(
-                f"alternate {varying} varies {label}",
-                float(raw[varying].max() - raw[varying].min()),
-                0.01,
-            )
-            norm_dev = max(abs(psi.norm() - 1.0) for psi in states)
+            raw = report.raw
+            bounded(f"conserved {spec.conserved} flat {label}", np.ptp(raw[spec.conserved]), 1e-12)
+            exceeds(f"alternate {spec.varying} varies {label}", np.ptp(raw[spec.varying]), 0.01)
+            norm_dev = max(abs(psi.norm() - 1.0) for psi in report.states)
             bounded(f"propagation unitarity {label}", norm_dev, 1e-12)
 
+            scen_space = HilbertSpace(scenario_n_max)
+            hamiltonian = build_effective(params, scen_space)[spec.hamiltonian]
+            psi0 = analytic.initial_state(params, scen_space, frame, n)
             t_probe = 7.3 / params.g
             halves = propagate_series(hamiltonian, propagate_series(hamiltonian, psi0, [t_probe / 2])[0], [t_probe / 2])[0]
             whole = propagate_series(hamiltonian, psi0, [t_probe])[0]
-            bounded(
-                f"propagation composition {label}",
-                float(np.max(np.abs(halves.amps - whole.amps))),
-                1e-11,
-            )
+            bounded(f"propagation composition {label}", np.max(np.abs(halves.amps - whole.amps)), 1e-11)
 
-            wide_space = HilbertSpace(scenario_n_max + 10)
-            wide_pair = build_effective(params, wide_space)
-            if frame == "rf":
-                wide_psi0, _ = analytic.ajc_eigenstate(params, wide_space, n, +1)
-                wide_h = wide_pair[0]
-            else:
-                wide_psi0, _ = analytic.jc_eigenstate(params, wide_space, n, -1)
-                wide_h = wide_pair[1]
-            wide_states = propagate_series(wide_h, wide_psi0, tau_grid / params.g)
-            wide_raw = observable_series(wide_states, standard_observables(wide_space))
-            drift = max(float(np.max(np.abs(raw[k] - wide_raw[k]))) for k in raw)
+            wide = compare_scenario(params, frame, n, grid, n_max=scenario_n_max + 10)
+            drift = max(float(np.max(np.abs(raw[k] - wide.raw[k]))) for k in raw)
             bounded(f"truncation robustness {label}", drift, 1e-10)
 
     # eigenstate residuals and number eigenvalues across both frames

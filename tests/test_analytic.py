@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qrmframes import analytic
 from qrmframes import (
     DegenerateBranchError,
     HilbertSpace,
@@ -26,9 +27,12 @@ from qrmframes import (
     crf_branch_states,
     evolve_crf,
     evolve_rf,
+    evolve_series,
     expectation,
+    initial_state,
     jc_branch,
     jc_eigenstate,
+    observables,
     observables_crf,
     observables_rf,
     rf_branch_states,
@@ -317,3 +321,45 @@ class TestObservables:
             observables_rf(FIG_RF, -1, 0.0)
         with pytest.raises(ValueError):
             observables_crf(FIG_CRF, -1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "params", [FIG_RF, FIG_CRF, ModelParams.from_dimensionless(-0.4, 1.1)]
+)
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_initial_state_is_the_frame_eigenstate(params, n):
+    space = HilbertSpace(n + 3)
+    rf = initial_state(params, space, "rf", n)
+    crf = initial_state(params, space, "crf", n)
+    assert np.array_equal(rf.amps, ajc_eigenstate(params, space, n, +1)[0].amps)
+    assert np.array_equal(crf.amps, jc_eigenstate(params, space, n, -1)[0].amps)
+
+
+@pytest.mark.parametrize("frame", ["lab", "RF"])
+@pytest.mark.parametrize("entry", ["observables", "initial_state", "evolve_series"])
+def test_frame_entry_points_reject_an_unknown_frame(entry, frame):
+    space = HilbertSpace(4)
+    calls = {
+        "observables": lambda: observables(FIG_RF, frame, 0, 0.0),
+        "initial_state": lambda: initial_state(FIG_RF, space, frame, 0),
+        "evolve_series": lambda: evolve_series(FIG_RF, space, frame, 0, [0.0]),
+    }
+    with pytest.raises(ValueError, match="frame"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("frame", ["rf", "crf"])
+def test_observables_goes_through_the_per_frame_entry_point(frame, monkeypatch):
+    seen = []
+    entry = getattr(analytic, f"observables_{frame}")
+
+    def recording(params, n, t):
+        seen.append((params, n, t))
+        return entry(params, n, t)
+
+    monkeypatch.setattr(analytic, f"observables_{frame}", recording)
+    t = np.linspace(0.0, 3.0, 7)
+    obs = observables(FIG_RF, frame, 2, t)
+    assert len(seen) == 1 and seen[0][2] is t
+    for name, values in obs.as_dict().items():
+        assert np.array_equal(values, entry(FIG_RF, 2, t).as_dict()[name])

@@ -151,3 +151,37 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--nmax", "0"], ["--nmax", "1"], ["--nmax", "-1"], ["--tol", "nan"], ["--tol", "-1"]],
+)
+def test_bad_verify_arguments_are_config_errors(args, capsys):
+    code = main(["verify", *args])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "overall" not in captured.out
+
+
+def test_unknown_svg_column_is_rejected_before_any_write(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    svg = tmp_path / "x.svg"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evolve", "--frame", "rf", "--out", str(out), "--svg", str(svg),
+              "--column", "bogus"])
+    assert exit_info.value.code == 2
+    assert "--column" in capsys.readouterr().err
+    assert not out.exists()
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("outputs", [None, 5])
+def test_non_list_outputs_in_config_file_is_a_config_error(tmp_path, capsys, outputs):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"frame": "rf", "outputs": outputs}), encoding="utf-8")
+    code = main(["evolve", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "outputs" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

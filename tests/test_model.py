@@ -265,3 +265,16 @@ def test_primitive_matrices_equal_the_kron_construction(n_max):
     s_z, s_minus, s_plus = qubit_operators(space)
     for op, name in ((a, "a"), (ad, "ad"), (s_z, "sz"), (s_minus, "sm"), (s_plus, "sp")):
         assert np.array_equal(op.entries, reference[name]), name
+
+
+@pytest.mark.parametrize("n_max", [2, 8, 20])
+def test_frame_conjugation_over_a_time_array_is_the_worst_scalar_call(n_max):
+    space = HilbertSpace(n_max)
+    for params in (FIG_RF, FIG_CRF):
+        times = np.random.default_rng(n_max).uniform(0.0, 30.0, size=20)
+        worst = max(frame_conjugation_check(params, space, float(t)) for t in times)
+        assert frame_conjugation_check(params, space, times) == worst
+        assert frame_conjugation_check(params, space, list(times)) == worst
+        assert frame_conjugation_check(params, space, np.float64(times[3])) == (
+            frame_conjugation_check(params, space, float(times[3]))
+        )

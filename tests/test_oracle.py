@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qrmframes import (
+    FRAMES,
     HermiticityError,
     HilbertSpace,
     ModelParams,
@@ -24,6 +25,7 @@ from qrmframes import (
     evolve_series,
     evolve_with,
     expectation,
+    initial_state,
     interior_commutator_norm,
     interior_projector,
     jc_eigenstate,
@@ -32,6 +34,7 @@ from qrmframes import (
     qubit_operators,
     standard_observables,
 )
+from qrmframes.oracle import CRF_COLUMN_MAP, RF_COLUMN_MAP
 
 FIG_RF = ModelParams.from_dimensionless(0.0, 0.16)
 FIG_CRF = ModelParams.from_dimensionless(1.0 / 1.31, 0.16)
@@ -151,6 +154,12 @@ def test_compare_scenario_truncation_guard():
 def test_compare_scenario_rejects_unknown_frame():
     with pytest.raises(ValueError):
         compare_scenario(FIG_RF, "lab", 0, [0.0])
+
+
+@pytest.mark.parametrize("frame", ["RF", "Crf", " rf"])
+def test_compare_scenario_takes_frame_names_exactly(frame):
+    with pytest.raises(ValueError, match="frame"):
+        compare_scenario(FIG_RF, frame, 0, [0.0])
 
 
 def test_truncation_robustness_of_observables():
@@ -276,3 +285,22 @@ def test_grid_closed_form_matches_scalar_evolution(n):
         for t, row in zip(grid, series):
             assert np.max(np.abs(row - scalar(params, space, n, float(t)).amps)) <= 1e-14
             assert np.max(np.abs(row - _loop_evolve(params, space, frame, n, float(t)))) <= 1e-14
+
+
+@pytest.mark.parametrize("frame,params,n", [("rf", FIG_RF, 0), ("crf", FIG_CRF, 5)])
+def test_comparison_report_carries_the_compared_trajectory(frame, params, n):
+    grid = np.linspace(0.0, 12.0, 40)
+    report = compare_scenario(params, frame, n, grid)
+    space = HilbertSpace(report.n_max)
+    assert len(report.states) == grid.size
+    assert np.max(np.abs(report.states[0].amps - initial_state(params, space, frame, n).amps)) <= 1e-13
+    again = observable_series(report.states, standard_observables(space))
+    assert set(report.raw) == set(again)
+    for name in again:
+        assert np.array_equal(report.raw[name], again[name])
+
+
+def test_column_maps_are_the_frame_table_maps():
+    assert RF_COLUMN_MAP is FRAMES["rf"].columns
+    assert CRF_COLUMN_MAP is FRAMES["crf"].columns
+    assert list(FRAMES) == ["rf", "crf"]

@@ -319,3 +319,37 @@ class TestVerifySuite:
         floors = [c for c in report.checks if c.mode == "min>"]
         assert floors
         assert all(c.passed for c in floors)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"n_max": 0}, "n_max"),
+        ({"n_max": 1}, "n_max"),
+        ({"n_max": -1}, "n_max"),
+        ({"n_max": 5.0}, "n_max"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": 0.0}, "tol"),
+    ],
+)
+def test_verify_suite_rejects_bad_arguments_by_name(kwargs, field):
+    with pytest.raises(ConfigError) as err:
+        verify_suite(**kwargs)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("outputs", [None, 5, "csv", ["csv", 1]])
+def test_outputs_must_be_a_list_of_kinds(outputs):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({"frame": "rf", "outputs": outputs})
+    assert err.value.field == "outputs"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(frame="rf", outputs=outputs)
+    assert err.value.field == "outputs"
+
+
+def test_outputs_list_from_json_becomes_a_tuple():
+    cfg = ExperimentConfig.from_dict({"frame": "rf", "outputs": ["csv", "svg"]})
+    assert cfg.outputs == ("csv", "svg")
