@@ -15,11 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from qrmframes import FRAMES, ModelParams, beat_modulation_period, observables
-
-FRAME_PARAMS = {
-    "rf": ModelParams.from_dimensionless(0.0, 0.16),
-    "crf": ModelParams.from_dimensionless(1.0 / 1.31, 0.16),
-}
+from qrmframes.runner import FIGURE_EPSILON, FIGURE_XI
 
 
 def branch_pair(frame: str, params: ModelParams, n: int) -> tuple[float, float]:
@@ -31,7 +27,7 @@ def branch_pair(frame: str, params: ModelParams, n: int) -> tuple[float, float]:
 
 
 def scan_row(frame: str, n: int, periods: float) -> dict:
-    params = FRAME_PARAMS[frame]
+    params = ModelParams.from_dimensionless(FIGURE_XI[frame], FIGURE_EPSILON)
     top, bottom = branch_pair(frame, params, n)
     predicted = params.g * math.pi / (top - bottom)
 
@@ -52,8 +48,8 @@ def scan_row(frame: str, n: int, periods: float) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--frames", nargs="+", choices=("rf", "crf"),
-                        default=["rf", "crf"])
+    parser.add_argument("--frames", nargs="+", choices=list(FRAMES),
+                        default=list(FRAMES))
     parser.add_argument("--photon-numbers", type=int, nargs="+",
                         default=[2, 5, 10, 20, 40, 60],
                         help="initial photon numbers to scan (n >= 2)")

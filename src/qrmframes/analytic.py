@@ -139,6 +139,35 @@ def ajc_branch(params: ModelParams, atom: str, n: int) -> BranchCoeffs:
     return BranchCoeffs(rabi, c, s, f"ajc-{atom}({n})")
 
 
+def _eigenstate(
+    params: ModelParams, space: HilbertSpace, spec: Frame, n: int, sign: int
+) -> tuple[StateVector, float]:
+    """(state, energy) of `ajc_eigenstate` (rf) or `jc_eigenstate` (crf): the
+    `spec.dressing` doublet on {|top_atom, n>, |bottom_atom, n-1>}, with bare
+    amplitude 1 + sign*c for top atom e and 1 - sign*c for top atom g; at
+    n = 0 the bare state, energy (+-c) * rabi. Needs n_max >= initial_number(n).
+    """
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    need = spec.initial_number(n)
+    if need > space.n_max:
+        raise TruncationError(f"eigenstate at n={n} needs n_max >= {need}, got {space.n_max}")
+    if n == 0 and sign == -spec.sign:
+        raise NullStateError(f"the {'plus' if sign == +1 else 'minus'} branch at n=0 is the zero vector")
+    rabi, c, s = spec.dressing(params, spec.top_atom, n)
+    c = c if spec.top_atom == "e" else -c
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    if n == 0:
+        amps[space.index(spec.top_atom, 0)] = 1.0
+        return StateVector(space, amps), c * rabi
+    amps[space.index(spec.top_atom, n)] = 1.0 + sign * c
+    amps[space.index(spec.bottom_atom, n - 1)] = sign * s
+    amps /= np.linalg.norm(amps)
+    return StateVector(space, amps), params.omega * n + sign * rabi
+
+
 def ajc_eigenstate(
     params: ModelParams, space: HilbertSpace, n: int, sign: int
 ) -> tuple[StateVector, float]:
@@ -148,21 +177,7 @@ def ajc_eigenstate(
     only the plus branch exists (it is |e,0> with energy delta_bar/2); the
     minus branch raises NullStateError.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n + 1 > space.n_max:
-        raise TruncationError(f"eigenstate at n={n} needs n_max >= {n + 1}, got {space.n_max}")
-    if n == 0 and sign == -1:
-        raise NullStateError("the minus branch at n=0 is the zero vector")
-    rabi, c, s = _ajc_doublet(params, "e", n)
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[space.index("e", n)] = 1.0 + sign * c
-    if n >= 1:
-        amps[space.index("g", n - 1)] = sign * s
-    amps /= np.linalg.norm(amps)
-    return StateVector(space, amps), params.omega * n + sign * rabi
+    return _eigenstate(params, space, FRAMES["rf"], n, sign)
 
 
 def jc_eigenstate(
@@ -177,24 +192,7 @@ def jc_eigenstate(
     plus label raises NullStateError. This also covers the degenerate
     doublet at zero detuning, where the energy is exactly zero.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n > space.n_max:
-        raise TruncationError(f"eigenstate at n={n} needs n_max >= {n}, got {space.n_max}")
-    if n == 0:
-        if sign == +1:
-            raise NullStateError("the plus branch at n=0 is the zero vector")
-        amps = np.zeros(space.dim, dtype=np.complex128)
-        amps[space.index("g", 0)] = 1.0
-        return StateVector(space, amps), -0.5 * params.delta
-    rabi, c, s = _jc_doublet(params, "g", n)
-    amps = np.zeros(space.dim, dtype=np.complex128)
-    amps[space.index("g", n)] = 1.0 - sign * c
-    amps[space.index("e", n - 1)] = sign * s
-    amps /= np.linalg.norm(amps)
-    return StateVector(space, amps), params.omega * n + sign * rabi
+    return _eigenstate(params, space, FRAMES["crf"], n, sign)
 
 
 def _require_headroom(space: HilbertSpace, n: int) -> None:
@@ -212,7 +210,7 @@ _OTHER_ATOM = {"e": "g", "g": "e"}
 class Frame(NamedTuple):
     """One frame's physics: the state evolves in `doublet` doublets at
     |top_atom, n> and |bottom_atom, n-1>, starting from the `sign` branch of
-    `eigenstate`, which the other family's doublet at |top_atom, n>
+    the eigenstate that the other family's doublet at |top_atom, n>
     (`dressing`) dresses. `doublet(params, atom, n)` gives (rabi, c, s) of
     the doublet at |atom, n>, zeros when it is degenerate. `hamiltonian`
     indexes `build_effective`, `columns` maps reported columns to raw
@@ -221,7 +219,6 @@ class Frame(NamedTuple):
 
     doublet: Callable[[ModelParams, str, int], tuple[float, float, float]]
     top_atom: str
-    eigenstate: Callable[..., tuple[StateVector, float]]
     sign: int
     hamiltonian: int
     columns: dict[str, str]
@@ -232,6 +229,10 @@ class Frame(NamedTuple):
     def bottom_atom(self) -> str:
         return _OTHER_ATOM[self.top_atom]
 
+    def initial_number(self, n: int) -> int:
+        """The `varying` number of the initial eigenstate at n: N_bar = n + 1 on |e,n>, N = n on |g,n>."""
+        return n + 1 if self.top_atom == "e" else n
+
     @property
     def dressing(self) -> Callable[[ModelParams, str, int], tuple[float, float, float]]:
         return _ajc_doublet if self.doublet is _jc_doublet else _jc_doublet
@@ -239,13 +240,13 @@ class Frame(NamedTuple):
 
 FRAMES = {
     "rf": Frame(
-        _jc_doublet, "e", ajc_eigenstate, +1, 0,
+        _jc_doublet, "e", +1, 0,
         {"s_z": "s_z", "atomic_excitation": "sp_sm", "photon": "ad_a",
          "n_jc": "n_jc", "n_ajc": "n_ajc"},
         "n_jc", "n_ajc",
     ),
     "crf": Frame(
-        _ajc_doublet, "g", jc_eigenstate, -1, 1,
+        _ajc_doublet, "g", -1, 1,
         {"s_z": "s_z", "atomic_excitation": "sm_sp", "photon": "a_ad",
          "n_jc": "n_jc", "n_ajc": "n_ajc"},
         "n_ajc", "n_jc",
@@ -264,7 +265,7 @@ def initial_state(params: ModelParams, space: HilbertSpace, frame: str, n: int) 
     """Plus-branch counter-rotating eigenstate (rf) or minus-branch rotating
     eigenstate (crf) at n; at n = 0 the bare |e,0> or |g,0>."""
     spec = frame_spec(frame)
-    return spec.eigenstate(params, space, n, spec.sign)[0]
+    return _eigenstate(params, space, spec, n, spec.sign)[0]
 
 
 def _as_time_array(t) -> np.ndarray:

@@ -13,6 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .analytic import FRAMES
 from .errors import ConfigError, QrmError
 from .runner import COLUMNS, ExperimentConfig, emit_csv, emit_svg, reproduce_figures, run_experiment, verify_suite
 
@@ -25,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     evolve = sub.add_parser("evolve", help="run one scenario and write its time series")
-    evolve.add_argument("--frame", choices=("rf", "crf"), help="effective frame")
+    evolve.add_argument("--frame", choices=list(FRAMES), help="effective frame")
     evolve.add_argument("--n", type=int, help="excitation index of the initial eigenstate")
     evolve.add_argument("--xi", type=float, help="detuning delta / (2 g)")
     evolve.add_argument("--eps", type=float, help="mode frequency omega / g")
@@ -86,7 +87,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     out = emit_csv(bundle, args.out)
     written = [str(out)]
     if args.svg is not None:
-        written.append(str(emit_svg(bundle, args.column, args.svg)))
+        try:
+            written.append(str(emit_svg(bundle, args.column, args.svg)))
+        except OSError:
+            out.unlink()  # a failed run leaves none of its files behind
+            raise
     print("wrote " + " and ".join(written))
     return 0
 

@@ -126,8 +126,6 @@ def compare_scenario(
     n: int,
     grid,
     n_max: int | None = None,
-    state_tol: float = STATE_TOL,
-    obs_tol: float = OBS_TOL,
 ) -> ComparisonReport:
     """Run one frame scenario both ways and report the worst deviations.
 
@@ -135,7 +133,8 @@ def compare_scenario(
     the counter-rotating component in the rotating frame, minus branch of
     the rotating component in the counter-rotating frame). Times are
     physical; multiply by g for the dimensionless axis. A truncation that
-    cannot hold the analytic support raises TruncationError.
+    cannot hold the analytic support raises TruncationError. The report
+    passes when every deviation is within STATE_TOL / OBS_TOL.
     """
     spec = analytic.frame_spec(frame)
     if n_max is None:
@@ -156,7 +155,7 @@ def compare_scenario(
         column: float(np.max(np.abs(np.broadcast_to(predicted[column], grid.shape) - raw[raw_name])))
         for column, raw_name in spec.columns.items()
     }
-    passed = state_dev <= state_tol and all(v <= obs_tol for v in obs_dev.values())
+    passed = state_dev <= STATE_TOL and all(v <= OBS_TOL for v in obs_dev.values())
     label = f"{frame} n={n} xi={params.xi:.6g} eps={params.epsilon:.6g}"
     return ComparisonReport(
         scenario=label,

@@ -40,9 +40,9 @@ __all__ = [
 COLUMNS = ("s_z", "atomic_excitation", "photon", "n_jc", "n_ajc")
 CSV_HEADER = "tau," + ",".join(COLUMNS)
 
-FIGURE_RF_XI = 0.0
-FIGURE_CRF_XI = 1.0 / 1.31
+FIGURE_XI = {"rf": 0.0, "crf": 1.0 / 1.31}
 FIGURE_EPSILON = 0.16
+BEAT_FAST_CUTOFF = 2.0  # angular, per unit tau: `beat_modulation_period` masks the carrier above it
 
 # figure name -> (frame, n, reported column); the rotating-frame epsilon is
 # an assumption recorded in the manifest, the dynamics at n=0 do not use it
@@ -85,8 +85,8 @@ class ExperimentConfig:
     outputs: tuple[str, ...] = ("csv",)
 
     def __post_init__(self) -> None:
-        if self.frame not in ("rf", "crf"):
-            raise ConfigError("frame", f"must be 'rf' or 'crf', got {self.frame!r}")
+        if not isinstance(self.frame, str) or self.frame not in analytic.FRAMES:
+            raise ConfigError("frame", f"must be one of {list(analytic.FRAMES)}, got {self.frame!r}")
         for name in ("n", "steps", "n_max", "xi", "epsilon", "g", "tau_max"):
             value = getattr(self, name)
             if isinstance(value, bool):
@@ -337,9 +337,8 @@ def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 20
     for name, frame, n, column in FIGURE_SET:
         key = (frame, n)
         if key not in bundles:
-            xi = FIGURE_RF_XI if frame == "rf" else FIGURE_CRF_XI
             config = ExperimentConfig(
-                frame=frame, n=n, xi=xi, epsilon=FIGURE_EPSILON,
+                frame=frame, n=n, xi=FIGURE_XI[frame], epsilon=FIGURE_EPSILON,
                 tau_max=tau_max, steps=steps, outputs=("csv", "svg"),
             )
             bundles[key] = run_experiment(config)
@@ -365,13 +364,13 @@ def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 20
     return manifest
 
 
-def beat_modulation_period(tau, values, fast_cutoff: float = 2.0) -> float:
+def beat_modulation_period(tau, values) -> float:
     """Period of the slow envelope of a two-frequency beat signal.
 
     Squares the demeaned series (which moves the envelope to the difference
-    frequency), removes every component at or above fast_cutoff (angular,
-    per unit tau) with an FFT mask, and measures the period from the zero
-    crossings of the smoothed signal.
+    frequency), removes every component at or above BEAT_FAST_CUTOFF with
+    an FFT mask, and measures the period from the zero crossings of the
+    smoothed signal.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -384,7 +383,7 @@ def beat_modulation_period(tau, values, fast_cutoff: float = 2.0) -> float:
     y = y * y
     spec = np.fft.rfft(y)
     omega = 2.0 * np.pi * np.fft.rfftfreq(y.size, d=float(dt[0]))
-    spec[omega >= fast_cutoff] = 0.0
+    spec[omega >= BEAT_FAST_CUTOFF] = 0.0
     smooth = np.fft.irfft(spec, n=y.size)
     smooth = smooth - smooth.mean()
     crossings = []
@@ -460,8 +459,8 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
         checks.append(CheckResult(name, float("inf"), 0.0, "max<=", False, note))
 
     param_sets = {
-        "rf-params": ModelParams.from_dimensionless(FIGURE_RF_XI, FIGURE_EPSILON),
-        "crf-params": ModelParams.from_dimensionless(FIGURE_CRF_XI, FIGURE_EPSILON),
+        f"{frame}-params": ModelParams.from_dimensionless(xi, FIGURE_EPSILON)
+        for frame, xi in FIGURE_XI.items()
     }
     nm_alg = 20 if n_max is None else n_max
     space = HilbertSpace(nm_alg)
@@ -502,15 +501,13 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
             exceeds(f"nonzero commutator {label} {tag}", interior_commutator_norm(a, b, keep), 0.01)
 
         mask = space.photon_numbers() <= keep
-        sq_jc = t_jc.entries @ t_jc.entries - (
-            0.25 * params.delta**2 * np.eye(space.dim) + params.g**2 * n_jc.entries
-        )
-        sq_ajc = t_ajc.entries @ t_ajc.entries - (
-            0.25 * params.delta_bar**2 * np.eye(space.dim)
-            + params.g**2 * (n_ajc.entries - np.eye(space.dim))
-        )
-        bounded(f"transition square rotating {tag}", float(np.max(np.abs(sq_jc[np.ix_(mask, mask)]))), 1e-12)
-        bounded(f"transition square counter {tag}", float(np.max(np.abs(sq_ajc[np.ix_(mask, mask)]))), 1e-12)
+        eye = np.eye(space.dim)
+        for label, t_op, square in (
+            ("rotating", t_jc, 0.25 * params.delta**2 * eye + params.g**2 * n_jc.entries),
+            ("counter", t_ajc, 0.25 * params.delta_bar**2 * eye + params.g**2 * (n_ajc.entries - eye)),
+        ):
+            dev = t_op.entries @ t_op.entries - square
+            bounded(f"transition square {label} {tag}", float(np.max(np.abs(dev[np.ix_(mask, mask)]))), 1e-12)
 
         parity_dev = 0.0
         n_bar_vals = space.photon_numbers() + space.excited_mask().astype(int) + 2 * (~space.excited_mask()).astype(int)
@@ -529,12 +526,11 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
 
         closure_dev = 0.0
         for nn in range(0, 11):
-            for maker, atom in ((analytic.jc_branch, "e"), (analytic.jc_branch, "g"),
-                                (analytic.ajc_branch, "e"), (analytic.ajc_branch, "g")):
-                if maker is analytic.jc_branch and atom == "g" and nn == 0 and params.xi == 0.0:
-                    continue  # degenerate doublet, no dressing pair
-                bc = maker(params, atom, nn)
-                closure_dev = max(closure_dev, abs(bc.c**2 + bc.s**2 - 1.0))
+            for spec in analytic.FRAMES.values():
+                for atom in ("e", "g"):
+                    rabi, c, s = spec.doublet(params, atom, nn)
+                    if rabi != 0.0:  # a degenerate doublet has no dressing pair
+                        closure_dev = max(closure_dev, abs(c**2 + s**2 - 1.0))
         bounded(f"dressing closure {tag}", closure_dev, 1e-14)
 
     tau_grid = np.linspace(0.0, 25.0, 200)
@@ -546,52 +542,54 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
             label = f"{frame} n={n}"
             try:
                 report = compare_scenario(params, frame, n, grid, n_max=scenario_n_max)
+                scen_space = HilbertSpace(scenario_n_max)
+                hamiltonian = build_effective(params, scen_space)[spec.hamiltonian]
+                psi0 = analytic.initial_state(params, scen_space, frame, n)
+                t_probe = 7.3 / params.g
+                halves = propagate_series(hamiltonian, propagate_series(hamiltonian, psi0, [t_probe / 2])[0], [t_probe / 2])[0]
+                whole = propagate_series(hamiltonian, psi0, [t_probe])[0]
+                wide = compare_scenario(params, frame, n, grid, n_max=scenario_n_max + 10)
+                note = ""
             except TruncationError as exc:
-                failed(f"scenario {label} state dev", f"truncation too small: {exc}")
-                continue
-            bounded(f"scenario {label} state dev", report.max_state_dev, 1e-9)
-            bounded(f"scenario {label} observable dev", report.worst_obs_dev(), 1e-9)
+                note = f"truncation too small: {exc}"
+            # (record, name, value, bound); a scenario that does not fit the
+            # truncation fails every one of its checks with the same note
+            for record, name, value, bound in (
+                (bounded, f"scenario {label} state dev", lambda: report.max_state_dev, 1e-9),
+                (bounded, f"scenario {label} observable dev", lambda: report.worst_obs_dev(), 1e-9),
+                (bounded, f"conserved {spec.conserved} flat {label}", lambda: np.ptp(report.raw[spec.conserved]), 1e-12),
+                (exceeds, f"alternate {spec.varying} varies {label}", lambda: np.ptp(report.raw[spec.varying]), 0.01),
+                (bounded, f"propagation unitarity {label}", lambda: max(abs(psi.norm() - 1.0) for psi in report.states), 1e-12),
+                (bounded, f"propagation composition {label}", lambda: np.max(np.abs(halves.amps - whole.amps)), 1e-11),
+                (bounded, f"truncation robustness {label}",
+                 lambda: max(float(np.max(np.abs(report.raw[k] - wide.raw[k]))) for k in report.raw), 1e-10),
+            ):
+                if note:
+                    failed(name, note)
+                else:
+                    record(name, value(), bound)
 
-            raw = report.raw
-            bounded(f"conserved {spec.conserved} flat {label}", np.ptp(raw[spec.conserved]), 1e-12)
-            exceeds(f"alternate {spec.varying} varies {label}", np.ptp(raw[spec.varying]), 0.01)
-            norm_dev = max(abs(psi.norm() - 1.0) for psi in report.states)
-            bounded(f"propagation unitarity {label}", norm_dev, 1e-12)
-
-            scen_space = HilbertSpace(scenario_n_max)
-            hamiltonian = build_effective(params, scen_space)[spec.hamiltonian]
-            psi0 = analytic.initial_state(params, scen_space, frame, n)
-            t_probe = 7.3 / params.g
-            halves = propagate_series(hamiltonian, propagate_series(hamiltonian, psi0, [t_probe / 2])[0], [t_probe / 2])[0]
-            whole = propagate_series(hamiltonian, psi0, [t_probe])[0]
-            bounded(f"propagation composition {label}", np.max(np.abs(halves.amps - whole.amps)), 1e-11)
-
-            wide = compare_scenario(params, frame, n, grid, n_max=scenario_n_max + 10)
-            drift = max(float(np.max(np.abs(raw[k] - wide.raw[k]))) for k in raw)
-            bounded(f"truncation robustness {label}", drift, 1e-10)
-
-    # eigenstate residuals and number eigenvalues across both frames
+    # eigenstate residuals and number eigenvalues: the initial eigenstates of
+    # each frame (rf: `ajc_eigenstate`, crf: `jc_eigenstate`) diagonalise the
+    # other frame's Hamiltonian and the frame's `varying` number
     for tag, params in param_sets.items():
         nm = (45 + 5) if n_max is None else n_max
         try:
             eig_space = HilbertSpace(nm)
-            h_rf, h_crf = build_effective(params, eig_space)
-            n_jc, n_ajc = build_number_ops(eig_space)
+            effective = build_effective(params, eig_space)
+            numbers = dict(zip(("n_jc", "n_ajc"), build_number_ops(eig_space)))
             residual = 0.0
-            for n in (0, 1, 5, 40, 45):
-                for sign in (+1, -1):
-                    if not (n == 0 and sign == -1):
-                        state, energy = analytic.ajc_eigenstate(params, eig_space, n, sign)
-                        image = h_crf.entries @ state.amps
+            for spec, eigenstate in zip(analytic.FRAMES.values(), (analytic.ajc_eigenstate, analytic.jc_eigenstate)):
+                hamiltonian, number_op = effective[1 - spec.hamiltonian].entries, numbers[spec.varying].entries
+                for n in (0, 1, 5, 40, 45):
+                    for sign in (+1, -1):
+                        if n == 0 and sign == -spec.sign:
+                            continue  # the null branch
+                        state, energy = eigenstate(params, eig_space, n, sign)
+                        image = hamiltonian @ state.amps
                         residual = max(residual, float(np.max(np.abs(image - energy * state.amps))))
-                        number = np.vdot(state.amps, n_ajc.entries @ state.amps).real
-                        residual = max(residual, abs(number - (n + 1)))
-                    if not (n == 0 and sign == +1):
-                        state, energy = analytic.jc_eigenstate(params, eig_space, n, sign)
-                        image = h_rf.entries @ state.amps
-                        residual = max(residual, float(np.max(np.abs(image - energy * state.amps))))
-                        number = np.vdot(state.amps, n_jc.entries @ state.amps).real
-                        residual = max(residual, abs(number - n))
+                        number = np.vdot(state.amps, number_op @ state.amps).real
+                        residual = max(residual, abs(number - spec.initial_number(n)))
             bounded(f"eigenstate residuals {tag}", residual, 1e-12)
         except TruncationError as exc:
             failed(f"eigenstate residuals {tag}", f"truncation too small: {exc}")

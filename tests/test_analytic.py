@@ -363,3 +363,46 @@ def test_observables_goes_through_the_per_frame_entry_point(frame, monkeypatch):
     assert len(seen) == 1 and seen[0][2] is t
     for name, values in obs.as_dict().items():
         assert np.array_equal(values, entry(FIG_RF, 2, t).as_dict()[name])
+
+
+def reference_eigenstate(params, space, family, n, sign):
+    """Scalar transcription of the dressed-state formulas, for exact comparison.
+
+    ajc: {|e,n>, |g,n-1>} with detuning delta_bar and amplitudes (1 + sign c, sign s);
+    jc: {|g,n>, |e,n-1>} with detuning delta and amplitudes (1 - sign c, sign s);
+    both with photon factor n and energy omega n + sign R. At n = 0 the bare
+    state, with energy +delta_bar/2 (ajc) or -delta/2 (jc).
+    """
+    if family == "ajc":
+        bare, partner, half = "e", "g", 0.5 * params.delta_bar
+    else:
+        bare, partner, half = "g", "e", 0.5 * params.delta
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    if n == 0:
+        amps[space.index(bare, 0)] = 1.0
+        return amps, (0.5 * params.delta_bar if family == "ajc" else -0.5 * params.delta)
+    rabi = math.hypot(params.g * math.sqrt(n), half)
+    c, s = half / rabi, params.g * math.sqrt(n) / rabi
+    amps[space.index(bare, n)] = 1.0 + sign * c if family == "ajc" else 1.0 - sign * c
+    amps[space.index(partner, n - 1)] = sign * s
+    amps /= np.linalg.norm(amps)
+    return amps, params.omega * n + sign * rabi
+
+
+@pytest.mark.parametrize("xi,eps", [(0.0, 0.16), (-0.4, 1.1), (1.0 / 1.31, 0.16)])
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("family", ["ajc", "jc"])
+def test_eigenstates_equal_the_scalar_reference_exactly(family, sign, n, xi, eps):
+    params = ModelParams.from_dimensionless(xi, eps)
+    space = HilbertSpace(n + 2)
+    eigenstate = ajc_eigenstate if family == "ajc" else jc_eigenstate
+    surviving = +1 if family == "ajc" else -1
+    if n == 0 and sign != surviving:
+        with pytest.raises(NullStateError):
+            eigenstate(params, space, n, sign)
+        return
+    state, energy = eigenstate(params, space, n, sign)
+    amps, ref_energy = reference_eigenstate(params, space, family, n, sign)
+    assert np.array_equal(state.amps, amps)
+    assert energy == ref_energy

@@ -110,6 +110,15 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_failed_svg_write_leaves_no_csv_behind(tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    code = main(["evolve", "--frame", "rf", "--steps", "10", "--out", str(out),
+                 "--svg", str(tmp_path / "missing-dir" / "y.svg")])
+    assert code == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_is_an_io_error(tmp_path, capsys):
     code = main(["evolve", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")])

@@ -57,6 +57,7 @@ class TestExperimentConfig:
             ("steps", {"frame": "rf", "steps": 1}),
             ("n_max", {"frame": "rf", "n": 5, "n_max": 6}),
             ("outputs", {"frame": "rf", "outputs": ("csv", "png")}),
+            ("frame", {"frame": ["rf"]}),  # unhashable, as from a JSON config
         ],
     )
     def test_validation_names_the_field(self, field, kwargs):
@@ -313,6 +314,13 @@ class TestVerifySuite:
         notes = [c.note for c in report.checks if not c.passed]
         assert notes  # failures carry the truncation message, no exception escapes
         assert any("truncation too small" in note for note in notes)
+        # a scenario that does not fit fails all of its checks, so the table
+        # keeps the default run's checks, in the same order
+        assert [c.name for c in report.checks] == [c.name for c in verify_suite().checks]
+        scenario = [c for c in report.checks if " rf n=40 " in f" {c.name} "]
+        assert len(scenario) == 7
+        assert all(not c.passed and c.note == scenario[0].note for c in scenario)
+        assert scenario[0].note.startswith("truncation too small: ")
 
     def test_nonzero_pattern_checks_keep_their_floor(self):
         report = verify_suite(tol=1e-15)

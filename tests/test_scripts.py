@@ -1,0 +1,39 @@
+"""The beat-envelope scan script, loaded without running its command line."""
+
+import argparse
+import runpy
+from pathlib import Path
+
+import pytest
+
+from qrmframes import FRAMES
+
+SCAN = Path(__file__).resolve().parents[1] / "scripts" / "beat_envelope_scan.py"
+
+
+@pytest.fixture(scope="module")
+def scan():
+    # run_path's default run_name is not "__main__", so main() does not run
+    return runpy.run_path(str(SCAN))
+
+
+@pytest.mark.parametrize("frame", list(FRAMES))
+def test_scan_row_meets_the_two_frequency_prediction(scan, frame):
+    row = scan["scan_row"](frame, 5, 10.0)
+    assert (row["frame"], row["n"]) == (frame, 5)
+    assert abs(row["rel_err"]) < 1e-2
+
+
+def test_frames_option_offers_the_frame_table(scan, monkeypatch):
+    parsers = []
+
+    def capture(self, *args, **kwargs):
+        parsers.append(self)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        scan["main"]()
+    frames = next(action for action in parsers[0]._actions if action.dest == "frames")
+    assert frames.choices == list(FRAMES)
+    assert frames.default == list(FRAMES)
