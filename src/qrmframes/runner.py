@@ -204,25 +204,31 @@ def run_experiment(config: ExperimentConfig) -> TimeSeriesBundle:
     return TimeSeriesBundle(config=config, tau=tau, series=series)
 
 
-def _fmt(value: float) -> str:
-    # normalize -0.0 so equal series emit equal bytes
-    if value == 0.0:
-        value = 0.0
-    return format(float(value), ".12g")
+CSV_BLOCK_ROWS = 4096  # rows formatted by one `%` call while streaming a CSV
+_CSV_ROW = ",".join(["%.12g"] * (len(COLUMNS) + 1)) + "\n"
 
 
 def emit_csv(bundle: TimeSeriesBundle, path: str | Path) -> Path:
     """Write the bundle as UTF-8 CSV with LF endings.
 
     Layout: one comment line echoing the config as JSON, the fixed header,
-    then one row per grid point with 12 significant digits.
+    then one row per grid point with 12 significant digits. Rows are
+    streamed in blocks of CSV_BLOCK_ROWS; if a write fails, the partial
+    file is removed before the error propagates.
     """
     path = Path(path)
-    lines = [f"# config: {bundle.config.to_json()}", CSV_HEADER]
-    columns = [bundle.tau] + [bundle.series[name] for name in COLUMNS]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    table = np.stack([bundle.tau] + [bundle.series[name] for name in COLUMNS], axis=1, dtype=float)
+    table += 0.0  # turns -0.0 into 0.0, so equal series emit equal bytes
+    handle = path.open("w", encoding="utf-8", newline="\n")
+    try:
+        with handle:  # closing flushes, so it may fail too
+            handle.write(f"# config: {bundle.config.to_json()}\n{CSV_HEADER}\n")
+            for start in range(0, len(table), CSV_BLOCK_ROWS):
+                block = table[start:start + CSV_BLOCK_ROWS]
+                handle.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -242,7 +248,25 @@ def read_csv(path: str | Path) -> TimeSeriesBundle:
     lines = text.splitlines()
     if len(lines) < 2 or lines[1] != CSV_HEADER:
         raise ConfigError("config", "missing or unexpected CSV header")
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    width = len(COLUMNS) + 1
+    rows = []
+    for number, line in enumerate(lines[2:], start=3):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ConfigError("config", f"line {number}: expected {width} comma-separated values, found {len(cells)}")
+        try:
+            rows.append([float(x) for x in cells])
+        except ValueError:
+            raise ConfigError("config", f"line {number}: non-numeric value in {line!r}") from None
+    if len(rows) < config.steps:
+        raise ConfigError(
+            "config", f"line {len(lines) + 1}: file ends after {len(rows)} data rows, config echoes steps={config.steps}"
+        )
+    if len(rows) > config.steps:
+        raise ConfigError(
+            "config", f"line {config.steps + 3}: data row {config.steps + 1} is past config steps={config.steps}"
+        )
+    data = np.array(rows)
     series = {name: data[:, 1 + i] for i, name in enumerate(COLUMNS)}
     return TimeSeriesBundle(config=config, tau=data[:, 0], series=series)
 
@@ -274,10 +298,10 @@ def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
         pad = max(0.5, abs(v_hi) * 0.1)
         v_lo, v_hi = v_lo - pad, v_hi + pad
 
-    def sx(t: float) -> float:
+    def sx(t):  # a float for the ticks, the whole tau array for the points
         return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return y1 - (v - v_lo) / (v_hi - v_lo) * (y1 - y0)
 
     title = (
@@ -315,7 +339,9 @@ def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
         f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{column}</text>'
     )
-    points = " ".join(f"{sx(float(t)):.2f},{sy(float(v)):.2f}" for t, v in zip(tau, values))
+    # sx/sy on whole arrays do the scalar IEEE operations in the same order
+    xy = np.stack([sx(np.asarray(tau, dtype=float)), sy(np.asarray(values, dtype=float))], axis=1)
+    points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
     parts.append(f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.2" points="{points}"/>')
     parts.append("</svg>")
     path = Path(path)

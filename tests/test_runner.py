@@ -3,6 +3,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from qrmframes import (
     run_experiment,
     verify_suite,
 )
-from qrmframes.runner import CSV_HEADER
+from qrmframes import cli
+from qrmframes.runner import CSV_BLOCK_ROWS, CSV_HEADER, SVG_HEIGHT, SVG_MARGIN, SVG_WIDTH, TimeSeriesBundle
 
 
 class TestExperimentConfig:
@@ -190,11 +192,186 @@ class TestCsv:
             # 12 significant digits survive the text round trip
             assert_allclose(loaded.column(name), bundle.column(name), rtol=1e-11, atol=1e-11)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda lines: lines[:2], "line 3: file ends after 0 data rows, config echoes steps=5"),
+            (lambda lines: lines[:4], "line 5: file ends after 2 data rows, config echoes steps=5"),
+            (lambda lines: lines + [lines[-1]], "line 8: data row 6 is past config steps=5"),
+            (lambda lines: lines[:3] + ["0.25,0.5,1"] + lines[4:], "line 4: expected 6 comma-separated values, found 3"),
+            (lambda lines: lines[:5] + [lines[5].replace("0.", "x.", 1)] + lines[6:], "line 6: non-numeric value"),
+        ],
+        ids=["header-only", "short", "long", "ragged", "non-numeric"],
+    )
+    def test_read_csv_names_the_bad_line(self, tmp_path, edit, message):
+        cfg = ExperimentConfig(frame="crf", xi=0.5, tau_max=1.0, steps=5)
+        path = emit_csv(run_experiment(cfg), tmp_path / "bad.csv")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            read_csv(path)
+        assert err.value.field == "config"
+        assert message in str(err.value)
+
     def test_parse_config_comment_requires_leading_comment(self):
         with pytest.raises(ConfigError):
             parse_config_comment("tau,s_z\n0,0.5\n")
         with pytest.raises(ConfigError):
             parse_config_comment("")
+
+
+def _fmt_reference(value):
+    if value == 0.0:
+        value = 0.0
+    return format(float(value), ".12g")
+
+
+def csv_reference(bundle):
+    """The per-value CSV writer that the block writer replaced."""
+    lines = [f"# config: {bundle.config.to_json()}", CSV_HEADER]
+    columns = [bundle.tau] + [bundle.series[name] for name in COLUMNS]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt_reference(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def svg_points_reference(bundle, column):
+    """The per-point polyline formatting that the array version replaced."""
+    values, tau = bundle.column(column), bundle.tau
+    left, right, top, bottom = SVG_MARGIN
+    x0, x1 = left, SVG_WIDTH - right
+    y0, y1 = top, SVG_HEIGHT - bottom
+    t_lo, t_hi = float(tau[0]), float(tau[-1])
+    v_lo, v_hi = float(values.min()), float(values.max())
+    if v_hi - v_lo < 1e-9:
+        pad = max(0.5, abs(v_hi) * 0.1)
+        v_lo, v_hi = v_lo - pad, v_hi + pad
+
+    def sx(t):
+        return x0 + (t - t_lo) / (t_hi - t_lo) * (x1 - x0)
+
+    def sy(v):
+        return y1 - (v - v_lo) / (v_hi - v_lo) * (y1 - y0)
+
+    return " ".join(f"{sx(float(t)):.2f},{sy(float(v)):.2f}" for t, v in zip(tau, values))
+
+
+def assert_svg_points_match(path, bundle, column):
+    head, rest = path.read_bytes().split(b' points="')
+    points, tail = rest.split(b'"', 1)
+    assert points.decode("utf-8") == svg_points_reference(bundle, column)
+    assert tail == b"/>\n</svg>\n"
+    assert head.endswith(b'<polyline fill="none" stroke="#1f77b4" stroke-width="1.2"')
+
+
+# -0.0, subnormal and extreme magnitudes, and values that round at the 12th digit
+EDGE_VALUES = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1234567890125, 0.1234567890135,
+    1.0000000000005, 9.9999999999995, 123456789012.5, 999999999999.5, 2.5e-5, -2.5,
+])
+
+
+def edge_bundle(rows):
+    tau = np.linspace(0.0, 7.0, rows)
+    series = {name: np.resize(np.roll(EDGE_VALUES, 3 * k), rows) for k, name in enumerate(COLUMNS)}
+    series["n_jc"] = np.full(rows, -0.0)  # a constant column
+    series["n_ajc"] = np.full(rows, 2.0)
+    return TimeSeriesBundle(config=ExperimentConfig(frame="rf"), tau=tau, series=series)
+
+
+class TestEmissionMatchesScalarReference:
+    @pytest.mark.parametrize(
+        "rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS]
+    )
+    def test_csv_edge_values_at_block_boundaries(self, tmp_path, rows):
+        bundle = edge_bundle(rows)
+        assert emit_csv(bundle, tmp_path / "edge.csv").read_bytes() == csv_reference(bundle)
+
+    @pytest.mark.parametrize("rows", [2, CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_svg_edge_values(self, tmp_path, rows, column):
+        bundle = edge_bundle(rows)
+        assert_svg_points_match(emit_svg(bundle, column, tmp_path / "edge.svg"), bundle, column)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("frame", ["rf", "crf"])
+    def test_seeded_scenarios(self, tmp_path, frame, seed):
+        rng = np.random.default_rng(seed)
+        eps = float(10.0 ** rng.uniform(-2, 2))
+        cfg = ExperimentConfig(
+            frame=frame, n=int(rng.integers(0, 60)), xi=float(-eps / 2 + rng.uniform(0, 3)), epsilon=eps,
+            tau_max=float(rng.uniform(5, 200)), steps=int(rng.integers(2, 3 * CSV_BLOCK_ROWS)),
+        )
+        bundle = run_experiment(cfg)
+        assert emit_csv(bundle, tmp_path / "run.csv").read_bytes() == csv_reference(bundle)
+        for column in COLUMNS:
+            assert_svg_points_match(emit_svg(bundle, column, tmp_path / "run.svg"), bundle, column)
+
+
+class _FailingWriter:
+    """Wraps a text file; the write after the first `allowed` ones raises."""
+
+    def __init__(self, handle, allowed):
+        self.handle, self.allowed = handle, allowed
+
+    def write(self, text):
+        if self.allowed == 0:
+            raise OSError(28, "No space left on device")
+        self.allowed -= 1
+        return self.handle.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+
+def fail_after_first_block(monkeypatch):
+    """Make CSV writes raise after the comment/header write and one row block."""
+    real_open = Path.open
+    opened = []
+
+    def open_failing(self, *args, **kwargs):
+        opened.append(self)
+        return _FailingWriter(real_open(self, *args, **kwargs), allowed=2)
+
+    monkeypatch.setattr(Path, "open", open_failing)
+    return opened
+
+
+class TestCsvWriteFailure:
+    def test_partial_file_is_removed(self, tmp_path, monkeypatch):
+        bundle = run_experiment(ExperimentConfig(frame="rf", steps=2 * CSV_BLOCK_ROWS + 1))
+        opened = fail_after_first_block(monkeypatch)
+        target = tmp_path / "partial.csv"
+        with pytest.raises(OSError):
+            emit_csv(bundle, target)
+        assert opened == [target]
+        assert not target.exists()
+
+    def test_evolve_exits_3_and_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+        fail_after_first_block(monkeypatch)
+        code = cli.main(["evolve", "--frame", "crf", "--steps", str(2 * CSV_BLOCK_ROWS + 1),
+                         "--out", str(out), "--svg", str(svg)])
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not svg.exists()
+
+    def test_failed_open_keeps_an_existing_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "kept.csv"
+        target.write_text("user data\n", encoding="utf-8")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(PermissionError):
+            emit_csv(run_experiment(ExperimentConfig(frame="rf", steps=4)), target)
+        monkeypatch.undo()
+        assert target.read_text(encoding="utf-8") == "user data\n"
 
 
 class TestSvg:

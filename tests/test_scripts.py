@@ -1,14 +1,17 @@
-"""The beat-envelope scan script, loaded without running its command line."""
+"""The scripts under scripts/: the beat-envelope scan, loaded without running
+its command line, and the figure regeneration, run as a program."""
 
 import argparse
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
 
 from qrmframes import FRAMES
 
-SCAN = Path(__file__).resolve().parents[1] / "scripts" / "beat_envelope_scan.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCAN = SCRIPTS / "beat_envelope_scan.py"
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +40,13 @@ def test_frames_option_offers_the_frame_table(scan, monkeypatch):
     frames = next(action for action in parsers[0]._actions if action.dest == "frames")
     assert frames.choices == list(FRAMES)
     assert frames.default == list(FRAMES)
+
+
+def test_make_figures_writes_the_figure_set(tmp_path, monkeypatch, capsys):
+    outdir = tmp_path / "figs"
+    monkeypatch.setattr(sys, "argv", ["make_figures.py", "--outdir", str(outdir), "--steps", "50"])
+    runpy.run_path(str(SCRIPTS / "make_figures.py"), run_name="__main__")
+    names = sorted(path.name for path in outdir.iterdir())
+    assert names == sorted([f"fig{k:02d}.{ext}" for k in range(1, 15) for ext in ("csv", "svg")] + ["manifest.json"])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"14 figure pairs and manifest.json in {outdir}"
