@@ -195,15 +195,6 @@ def jc_eigenstate(
     return _eigenstate(params, space, FRAMES["crf"], n, sign)
 
 
-def _require_headroom(space: HilbertSpace, n: int) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n + 2 > space.n_max:
-        raise TruncationError(
-            f"closed-form evolution at n={n} needs n_max >= {n + 2}, got {space.n_max}"
-        )
-
-
 _OTHER_ATOM = {"e": "g", "g": "e"}
 
 
@@ -289,7 +280,10 @@ def _branch_series(
     amplitude.
     """
     spec = frame_spec(frame)
-    _require_headroom(space, n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n + 2 > space.n_max:
+        raise TruncationError(f"closed-form evolution at n={n} needs n_max >= {n + 2}, got {space.n_max}")
 
     def evolve(atom: str, m: int, phase_m: int, partner_m: int) -> np.ndarray:
         rabi, c, s = spec.doublet(params, atom, m)

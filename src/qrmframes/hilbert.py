@@ -10,6 +10,7 @@ spaces of interest stay small (tens of photons).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -174,6 +175,10 @@ class OperatorMatrix:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.entries)
+
 
 def basis_state(space: HilbertSpace, atom: str, n: int) -> StateVector:
     """Unit vector |atom, n>."""
@@ -245,9 +250,9 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(a.space, a.entries @ b.entries - b.entries @ a.entries)
 
 
-def _propagate(entries: np.ndarray, amps0: np.ndarray, times) -> np.ndarray:
-    """Rows exp(-i H t) psi0 for every t, from one Hermitian eigendecomposition."""
-    evals, vecs = np.linalg.eigh(entries)
+def _propagate(hamiltonian: OperatorMatrix, amps0: np.ndarray, times) -> np.ndarray:
+    """Rows exp(-i H t) psi0 for every t, from the operator's one eigendecomposition."""
+    evals, vecs = hamiltonian._eigh
     coeffs = vecs.conj().T @ amps0
     return (np.exp(-1j * np.outer(times, evals)) * coeffs) @ vecs.T
 
@@ -256,13 +261,13 @@ def evolve_with(hamiltonian: OperatorMatrix, psi0: StateVector, t: float) -> Sta
     """Propagate psi0 by exp(-i H t) through a Hermitian eigendecomposition.
 
     Rejects operators without the hermitian tag rather than symmetrizing;
-    norm is preserved to roundoff. For many times on one Hamiltonian use
-    `oracle.propagate_series`, which decomposes once.
+    norm is preserved to roundoff. Calls on one operator share its single
+    decomposition; for many times at once use `oracle.propagate_series`.
     """
     if not hamiltonian.hermitian:
         raise HermiticityError("evolve_with requires a hermitian-tagged operator")
     _require_same_space(hamiltonian.space, psi0.space)
-    return StateVector(psi0.space, _propagate(hamiltonian.entries, psi0.amps, [t])[0])
+    return StateVector(psi0.space, _propagate(hamiltonian, psi0.amps, [t])[0])
 
 
 def expectation(psi: StateVector, op: OperatorMatrix) -> float:

@@ -37,8 +37,6 @@ __all__ = [
 STATE_TOL = 1e-9
 OBS_TOL = 1e-9
 
-RAW_NAMES = ("s_z", "sp_sm", "sm_sp", "ad_a", "a_ad", "n_jc", "n_ajc")
-
 # reported column -> raw expectation, per frame
 RF_COLUMN_MAP = analytic.FRAMES["rf"].columns
 CRF_COLUMN_MAP = analytic.FRAMES["crf"].columns
@@ -47,7 +45,8 @@ CRF_COLUMN_MAP = analytic.FRAMES["crf"].columns
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Outcome of one closed-form versus propagator scenario, with the
-    propagated trajectory (states) and its `standard_observables` series (raw)."""
+    propagated trajectory (states), its `standard_observables` series (raw),
+    and the Hamiltonian and initial state it was propagated from."""
 
     scenario: str
     frame: str
@@ -59,6 +58,8 @@ class ComparisonReport:
     passed: bool
     states: list[StateVector]
     raw: dict[str, np.ndarray]
+    hamiltonian: OperatorMatrix
+    initial: StateVector
 
     def worst_obs_dev(self) -> float:
         return max(self.max_obs_dev.values())
@@ -72,7 +73,7 @@ def propagate_series(
         raise HermiticityError("propagation requires a hermitian-tagged operator")
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise NumericConsistencyError(f"initial norm {psi0.norm()!r} is not 1")
-    amps = _propagate(hamiltonian.entries, psi0.amps, np.asarray(grid, dtype=float))
+    amps = _propagate(hamiltonian, psi0.amps, np.asarray(grid, dtype=float))
     return [StateVector(psi0.space, row) for row in amps]
 
 
@@ -168,6 +169,8 @@ def compare_scenario(
         passed=passed,
         states=numeric_states,
         raw=raw,
+        hamiltonian=hamiltonian,
+        initial=psi0,
     )
 
 

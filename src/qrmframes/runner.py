@@ -11,6 +11,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, NumericConsistencyError, TruncationError
 from .hilbert import HilbertSpace
 from .model import ModelParams, build_components, build_effective, build_number_ops, build_parity, build_rabi, build_transition_ops, frame_conjugation_check
-from .oracle import compare_scenario, interior_commutator_norm, propagate_series
+from .oracle import compare_scenario, interior_commutator_norm, interior_projector, propagate_series
 from . import analytic
 
 __all__ = [
@@ -130,17 +131,9 @@ class ExperimentConfig:
         return np.linspace(0.0, self.tau_max, self.steps)
 
     def to_dict(self) -> dict:
-        return {
-            "frame": self.frame,
-            "n": self.n,
-            "xi": self.xi,
-            "epsilon": self.epsilon,
-            "g": self.g,
-            "tau_max": self.tau_max,
-            "steps": self.steps,
-            "n_max": self.n_max,
-            "outputs": list(self.outputs),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["outputs"] = list(self.outputs)
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -208,28 +201,33 @@ CSV_BLOCK_ROWS = 4096  # rows formatted by one `%` call while streaming a CSV
 _CSV_ROW = ",".join(["%.12g"] * (len(COLUMNS) + 1)) + "\n"
 
 
+def _write_text(path: str | Path, chunks) -> Path:
+    """Write text chunks as UTF-8 with LF endings; a failed write or flush removes the file, a failed open deletes nothing."""
+    path = Path(path)
+    handle = path.open("w", encoding="utf-8", newline="\n")
+    try:
+        with handle:  # closing flushes, so it may fail too
+            for chunk in chunks:
+                handle.write(chunk)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def emit_csv(bundle: TimeSeriesBundle, path: str | Path) -> Path:
     """Write the bundle as UTF-8 CSV with LF endings.
 
     Layout: one comment line echoing the config as JSON, the fixed header,
     then one row per grid point with 12 significant digits. Rows are
-    streamed in blocks of CSV_BLOCK_ROWS; if a write fails, the partial
-    file is removed before the error propagates.
+    streamed in blocks of CSV_BLOCK_ROWS; a failed write leaves no file.
     """
-    path = Path(path)
     table = np.stack([bundle.tau] + [bundle.series[name] for name in COLUMNS], axis=1, dtype=float)
     table += 0.0  # turns -0.0 into 0.0, so equal series emit equal bytes
-    handle = path.open("w", encoding="utf-8", newline="\n")
-    try:
-        with handle:  # closing flushes, so it may fail too
-            handle.write(f"# config: {bundle.config.to_json()}\n{CSV_HEADER}\n")
-            for start in range(0, len(table), CSV_BLOCK_ROWS):
-                block = table[start:start + CSV_BLOCK_ROWS]
-                handle.write(_CSV_ROW * len(block) % tuple(block.ravel().tolist()))
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    return path
+    header = f"# config: {bundle.config.to_json()}\n{CSV_HEADER}\n"
+    blocks = (table[start:start + CSV_BLOCK_ROWS] for start in range(0, len(table), CSV_BLOCK_ROWS))
+    rows = (_CSV_ROW * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+    return _write_text(path, chain([header], rows))
 
 
 def parse_config_comment(text: str) -> ExperimentConfig:
@@ -276,8 +274,8 @@ SVG_HEIGHT = 540
 SVG_MARGIN = (64.0, 16.0, 42.0, 46.0)  # left, right, top, bottom
 
 
-def _svg_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _svg_ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 5 for i in range(6)]
 
 
 def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
@@ -285,6 +283,7 @@ def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
 
     Self-contained (no scripts or external references) and deterministic;
     a constant column renders as a horizontal line centered in the frame.
+    A failed write leaves no file.
     """
     values = bundle.column(column)
     tau = bundle.tau
@@ -344,9 +343,7 @@ def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
     points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
     parts.append(f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.2" points="{points}"/>')
     parts.append("</svg>")
-    path = Path(path)
-    path.write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
-    return path
+    return _write_text(path, ["\n".join(parts) + "\n"])
 
 
 def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 2000) -> dict:
@@ -384,9 +381,7 @@ def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 20
             "svg": svg_path.name,
         })
     manifest = {"tau_max": tau_max, "steps": steps, "figures": entries}
-    (outdir / "manifest.json").write_bytes(
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    )
+    _write_text(outdir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest
 
 
@@ -526,7 +521,7 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
         ):
             exceeds(f"nonzero commutator {label} {tag}", interior_commutator_norm(a, b, keep), 0.01)
 
-        mask = space.photon_numbers() <= keep
+        mask = interior_projector(space, keep)
         eye = np.eye(space.dim)
         for label, t_op, square in (
             ("rotating", t_jc, 0.25 * params.delta**2 * eye + params.g**2 * n_jc.entries),
@@ -564,17 +559,14 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
         params = param_sets[f"{frame}-params"]
         grid = tau_grid / params.g
         for n in (0, 1, 5, 40):
-            scenario_n_max = (n + 20) if n_max is None else n_max
             label = f"{frame} n={n}"
             try:
-                report = compare_scenario(params, frame, n, grid, n_max=scenario_n_max)
-                scen_space = HilbertSpace(scenario_n_max)
-                hamiltonian = build_effective(params, scen_space)[spec.hamiltonian]
-                psi0 = analytic.initial_state(params, scen_space, frame, n)
+                report = compare_scenario(params, frame, n, grid, n_max=n_max)
+                hamiltonian, psi0 = report.hamiltonian, report.initial
                 t_probe = 7.3 / params.g
                 halves = propagate_series(hamiltonian, propagate_series(hamiltonian, psi0, [t_probe / 2])[0], [t_probe / 2])[0]
                 whole = propagate_series(hamiltonian, psi0, [t_probe])[0]
-                wide = compare_scenario(params, frame, n, grid, n_max=scenario_n_max + 10)
+                wide = compare_scenario(params, frame, n, grid, n_max=report.n_max + 10)
                 note = ""
             except TruncationError as exc:
                 note = f"truncation too small: {exc}"

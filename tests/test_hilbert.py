@@ -237,6 +237,35 @@ def test_evolve_with_composes_over_time():
     assert np.max(np.abs(two_step.amps - one_step.amps)) <= 1e-11
 
 
+def test_evolve_with_decomposes_each_operator_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    space = HilbertSpace(6)
+    raw = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal(
+        (space.dim, space.dim)
+    )
+    h = OperatorMatrix(space, 0.5 * (raw + raw.conj().T), hermitian=True)
+    doubled = 2.0 * h
+    psi0 = StateVector(space, rng.standard_normal(space.dim)).normalized()
+    times = (0.0, 0.4, 3.7)
+
+    def reference(op, t):
+        evals, vecs = np.linalg.eigh(op.entries)
+        return ((np.exp(-1j * np.outer([t], evals)) * (vecs.conj().T @ psi0.amps)) @ vecs.T)[0]
+
+    expected = {(name, t): reference(op, t) for name, op in (("h", h), ("2h", doubled)) for t in times}
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(1) or real_eigh(a, *args, **kw))
+    for t in times:
+        assert np.array_equal(evolve_with(h, psi0, t).amps, expected[("h", t)])
+    assert len(calls) == 1
+    # a scaled copy is a new operator with its own decomposition
+    for t in times:
+        assert np.array_equal(evolve_with(doubled, psi0, t).amps, expected[("2h", t)])
+    assert len(calls) == 2
+    assert not np.array_equal(evolve_with(doubled, psi0, 3.7).amps, evolve_with(h, psi0, 3.7).amps)
+
+
 def test_expectation_trivial_values():
     space = HilbertSpace(2)
     s_z, _, _ = qubit_operators(space)

@@ -298,6 +298,14 @@ def test_comparison_report_carries_the_compared_trajectory(frame, params, n):
     assert set(report.raw) == set(again)
     for name in again:
         assert np.array_equal(report.raw[name], again[name])
+    # the report also carries what it propagated, so its trajectory replays bit for bit
+    assert np.array_equal(report.initial.amps, initial_state(params, space, frame, n).amps)
+    expected_h = build_effective(params, space)[FRAMES[frame].hamiltonian]
+    assert np.array_equal(report.hamiltonian.entries, expected_h.entries)
+    replay = propagate_series(report.hamiltonian, report.initial, report.grid)
+    assert len(replay) == len(report.states)
+    for psi, original in zip(replay, report.states):
+        assert np.array_equal(psi.amps, original.amps)
 
 
 def test_column_maps_are_the_frame_table_maps():

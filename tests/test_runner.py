@@ -78,6 +78,18 @@ class TestExperimentConfig:
         keys = list(json.loads(text))
         assert keys == sorted(keys)
 
+    def test_to_dict_lists_every_field_in_order(self):
+        cfg = ExperimentConfig(frame="crf", n=3, xi=0.25, steps=101, n_max=9, outputs=("csv", "svg"))
+        assert cfg.to_dict() == {
+            "frame": "crf", "n": 3, "xi": 0.25, "epsilon": 0.16, "g": 1.0,
+            "tau_max": 50.0, "steps": 101, "n_max": 9, "outputs": ["csv", "svg"],
+        }
+        assert list(cfg.to_dict()) == ["frame", "n", "xi", "epsilon", "g", "tau_max", "steps", "n_max", "outputs"]
+        assert ExperimentConfig(frame="rf").to_json() == (
+            '{"epsilon": 0.16, "frame": "rf", "g": 1.0, "n": 0, "n_max": null, '
+            '"outputs": ["csv"], "steps": 2000, "tau_max": 50.0, "xi": 0.0}'
+        )
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig.from_dict({"frame": "rf", "color": "red"})
@@ -374,6 +386,57 @@ class TestCsvWriteFailure:
         assert target.read_text(encoding="utf-8") == "user data\n"
 
 
+def fail_writes_to(monkeypatch, name):
+    """Make every write to a file called `name` raise after its open succeeded."""
+    real_open = Path.open
+
+    def open_failing(self, *args, **kwargs):
+        handle = real_open(self, *args, **kwargs)
+        return _FailingWriter(handle, allowed=0) if self.name == name else handle
+
+    monkeypatch.setattr(Path, "open", open_failing)
+
+
+class TestSvgAndManifestWriteFailure:
+    def test_partial_svg_is_removed(self, tmp_path, monkeypatch):
+        bundle = run_experiment(ExperimentConfig(frame="rf", steps=64))
+        fail_writes_to(monkeypatch, "partial.svg")
+        target = tmp_path / "partial.svg"
+        with pytest.raises(OSError):
+            emit_svg(bundle, "photon", target)
+        assert not target.exists()
+
+    def test_evolve_exits_3_and_leaves_neither_csv_nor_svg(self, tmp_path, monkeypatch, capsys):
+        out, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+        fail_writes_to(monkeypatch, "run.svg")
+        code = cli.main(["evolve", "--frame", "crf", "--steps", "64", "--out", str(out), "--svg", str(svg)])
+        assert code == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not svg.exists()
+
+    def test_failed_svg_open_keeps_an_existing_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "kept.svg"
+        target.write_text("user data\n", encoding="utf-8")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        bundle = run_experiment(ExperimentConfig(frame="rf", steps=4))
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(PermissionError):
+            emit_svg(bundle, "photon", target)
+        monkeypatch.undo()
+        assert target.read_text(encoding="utf-8") == "user data\n"
+
+    def test_partial_manifest_is_removed(self, tmp_path, monkeypatch):
+        fail_writes_to(monkeypatch, "manifest.json")
+        with pytest.raises(OSError):
+            reproduce_figures(tmp_path, tau_max=5.0, steps=8)
+        assert (tmp_path / "fig14.svg").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+
 class TestSvg:
     def test_valid_xml_with_polyline_and_title(self, tmp_path):
         cfg = ExperimentConfig(frame="rf", tau_max=10.0, steps=64)
@@ -498,6 +561,21 @@ class TestVerifySuite:
         assert len(scenario) == 7
         assert all(not c.passed and c.note == scenario[0].note for c in scenario)
         assert scenario[0].note.startswith("truncation too small: ")
+
+    def test_one_eigendecomposition_per_hamiltonian(self, monkeypatch):
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        assert verify_suite().passed
+        # 8 scenarios, each decomposed once at its own truncation and once
+        # widened; the composition check reuses the first decomposition
+        assert len(shapes) == 16
+        assert len(set(shapes)) == 8
 
     def test_nonzero_pattern_checks_keep_their_floor(self):
         report = verify_suite(tol=1e-15)
