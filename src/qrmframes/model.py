@@ -87,14 +87,33 @@ class ModelParams:
         return cls(omega=omega, omega0=delta + omega, g=g)
 
 
+def _terms(space: HilbertSpace) -> dict[str, np.ndarray]:
+    """The JC/AJC term table every operator below is a weighted sum of.
+
+    The `primitive_matrices` keys, plus: the qubit projectors sp_sm (s+ s-)
+    and sm_sp (s- s+); a_ad, the algebraic a^dag a + 1; the conserved
+    numbers n_jc and n_ajc; the four interaction half-products a_sp, ad_sm,
+    a_sm, ad_sp; and their sums jc = a s+ + a^dag s- and ajc = a s- + a^dag s+.
+    Every product has at most one nonzero term per entry, so it and every
+    sum of them is exact.
+    """
+    t = primitive_matrices(space)
+    t["sp_sm"] = t["sp"] @ t["sm"]
+    t["sm_sp"] = t["sm"] @ t["sp"]
+    t["a_ad"] = t["ata"] + t["eye"]
+    t["n_jc"] = t["ata"] + t["sp_sm"]
+    t["n_ajc"] = t["a_ad"] + t["sm_sp"]
+    for ladder, qubit in (("a", "sp"), ("ad", "sm"), ("a", "sm"), ("ad", "sp")):
+        t[f"{ladder}_{qubit}"] = t[ladder] @ t[qubit]
+    t["jc"] = t["a_sp"] + t["ad_sm"]
+    t["ajc"] = t["a_sm"] + t["ad_sp"]
+    return t
+
+
 def build_rabi(params: ModelParams, space: HilbertSpace) -> OperatorMatrix:
     """Full Rabi Hamiltonian omega(a^dag a + 1/2) + omega0 s_z + g(a + a^dag)(s- + s+)."""
-    p = primitive_matrices(space)
-    entries = (
-        params.omega * (p["ata"] + 0.5 * p["eye"])
-        + params.omega0 * p["sz"]
-        + params.g * (p["a"] + p["ad"]) @ (p["sm"] + p["sp"])
-    )
+    t = _terms(space)
+    entries = params.omega * (t["ata"] + 0.5 * t["eye"]) + params.omega0 * t["sz"] + params.g * (t["jc"] + t["ajc"])
     return OperatorMatrix(space, entries, hermitian=True)
 
 
@@ -104,13 +123,8 @@ def build_number_ops(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatri
     Rotating: a^dag a + s+ s-. Counter-rotating: a^dag a + 1 + s- s+, the
     truncation-exact form; the two differ by 2 s- s+ entrywise.
     """
-    p = primitive_matrices(space)
-    n_jc = p["ata"] + p["sp"] @ p["sm"]
-    n_ajc = p["ata"] + p["eye"] + p["sm"] @ p["sp"]
-    return (
-        OperatorMatrix(space, n_jc, hermitian=True),
-        OperatorMatrix(space, n_ajc, hermitian=True),
-    )
+    t = _terms(space)
+    return OperatorMatrix(space, t["n_jc"], hermitian=True), OperatorMatrix(space, t["n_ajc"], hermitian=True)
 
 
 def build_components(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -119,24 +133,11 @@ def build_components(params: ModelParams, space: HilbertSpace) -> tuple[Operator
     Each component doubles its own interaction term and subtracts omega/2,
     so that (H_rot + H_counter) / 2 reproduces `build_rabi` entrywise.
     """
-    p = primitive_matrices(space)
-    n_jc, n_ajc = (op.entries for op in build_number_ops(space))
-    h_rot = (
-        params.omega * n_jc
-        + params.delta * p["sz"]
-        + 2.0 * params.g * (p["a"] @ p["sp"] + p["ad"] @ p["sm"])
-        - 0.5 * params.omega * p["eye"]
-    )
-    h_counter = (
-        params.omega * n_ajc
-        + params.delta_bar * p["sz"]
-        + 2.0 * params.g * (p["a"] @ p["sm"] + p["ad"] @ p["sp"])
-        - 0.5 * params.omega * p["eye"]
-    )
-    return (
-        OperatorMatrix(space, h_rot, hermitian=True),
-        OperatorMatrix(space, h_counter, hermitian=True),
-    )
+    t = _terms(space)
+    shift = 0.5 * params.omega * t["eye"]
+    h_rot = params.omega * t["n_jc"] + params.delta * t["sz"] + 2.0 * params.g * t["jc"] - shift
+    h_counter = params.omega * t["n_ajc"] + params.delta_bar * t["sz"] + 2.0 * params.g * t["ajc"] - shift
+    return OperatorMatrix(space, h_rot, hermitian=True), OperatorMatrix(space, h_counter, hermitian=True)
 
 
 def build_effective(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -145,22 +146,10 @@ def build_effective(params: ModelParams, space: HilbertSpace) -> tuple[OperatorM
     Rotating frame: omega N + delta s_z + g(a s+ + a^dag s-).
     Counter-rotating frame: omega (N_bar - 1) + delta_bar s_z + g(a s- + a^dag s+).
     """
-    p = primitive_matrices(space)
-    n_jc, n_ajc = (op.entries for op in build_number_ops(space))
-    h_rf = (
-        params.omega * n_jc
-        + params.delta * p["sz"]
-        + params.g * (p["a"] @ p["sp"] + p["ad"] @ p["sm"])
-    )
-    h_crf = (
-        params.omega * (n_ajc - p["eye"])
-        + params.delta_bar * p["sz"]
-        + params.g * (p["a"] @ p["sm"] + p["ad"] @ p["sp"])
-    )
-    return (
-        OperatorMatrix(space, h_rf, hermitian=True),
-        OperatorMatrix(space, h_crf, hermitian=True),
-    )
+    t = _terms(space)
+    h_rf = params.omega * t["n_jc"] + params.delta * t["sz"] + params.g * t["jc"]
+    h_crf = params.omega * (t["n_ajc"] - t["eye"]) + params.delta_bar * t["sz"] + params.g * t["ajc"]
+    return OperatorMatrix(space, h_rf, hermitian=True), OperatorMatrix(space, h_crf, hermitian=True)
 
 
 def build_transition_ops(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -170,13 +159,10 @@ def build_transition_ops(params: ModelParams, space: HilbertSpace) -> tuple[Oper
     on the interior block. Counter-rotating: delta_bar s_z + g(a s- + a^dag s+),
     squaring to delta_bar^2/4 + g^2 (N_bar - 1) there.
     """
-    p = primitive_matrices(space)
-    t_jc = params.delta * p["sz"] + params.g * (p["a"] @ p["sp"] + p["ad"] @ p["sm"])
-    t_ajc = params.delta_bar * p["sz"] + params.g * (p["a"] @ p["sm"] + p["ad"] @ p["sp"])
-    return (
-        OperatorMatrix(space, t_jc, hermitian=True),
-        OperatorMatrix(space, t_ajc, hermitian=True),
-    )
+    t = _terms(space)
+    t_jc = params.delta * t["sz"] + params.g * t["jc"]
+    t_ajc = params.delta_bar * t["sz"] + params.g * t["ajc"]
+    return OperatorMatrix(space, t_jc, hermitian=True), OperatorMatrix(space, t_ajc, hermitian=True)
 
 
 def build_parity(space: HilbertSpace, k: int) -> OperatorMatrix:
@@ -201,17 +187,17 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
     Hamiltonian plus a counter-rotating term oscillating at 2 omega, and
     symmetrically for exp(-i omega t N_bar). t is a time or an array of
     times; returns the worst max-abs entrywise deviation over both frames
-    and all times, zero up to roundoff for any t. The operators are built
-    once; the times are visited one by one so memory stays O(d^2).
+    and all times, zero up to roundoff for any t and 0.0 for no times. The
+    operators are built once; the times are visited one by one so memory
+    stays O(d^2).
     """
-    p = primitive_matrices(space)
+    terms = _terms(space)
     h_rabi = build_rabi(params, space).entries
     h_rf, h_crf = (op.entries for op in build_effective(params, space))
-    n_jc, n_ajc = (op.entries for op in build_number_ops(space))
     w, g = params.omega, params.g
     splits = (
-        (np.real(np.diag(n_jc)), h_rf, p["a"] @ p["sm"], p["ad"] @ p["sp"]),
-        (np.real(np.diag(n_ajc)), h_crf, p["a"] @ p["sp"], p["ad"] @ p["sm"]),
+        (np.diag(terms["n_jc"]), h_rf, terms["a_sm"], terms["ad_sp"]),
+        (np.diag(terms["n_ajc"]), h_crf, terms["a_sp"], terms["ad_sm"]),
     )
     devs = []
     for tk in np.reshape(np.asarray(t, dtype=float), -1):
@@ -221,4 +207,4 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
             conjugated = phases.conj()[:, None] * h_rabi * phases[None, :]
             expected = h_eff + g * (slow * lowered + fast * raised)
             devs.append(np.max(np.abs(conjugated - expected)))
-    return float(np.max(devs))
+    return float(np.max(devs, initial=0.0))

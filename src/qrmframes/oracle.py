@@ -19,9 +19,8 @@ from .hilbert import (
     StateVector,
     _propagate,
     commutator,
-    primitive_matrices,
 )
-from .model import ModelParams, build_effective, build_number_ops
+from .model import ModelParams, _terms, build_effective
 from . import analytic
 
 __all__ = [
@@ -78,23 +77,15 @@ def propagate_series(
 
 
 def standard_observables(space: HilbertSpace) -> dict[str, OperatorMatrix]:
-    """The raw operator set used for cross-checks.
+    """The raw operator set used for cross-checks, read from the model's term table.
 
     a_ad is the algebraic a^dag a + 1, exact under truncation for any state
-    with support below the top photon level; the number operators come from
-    the model builders for the same reason.
+    with support below the top photon level; the number operators are the
+    model's own for the same reason.
     """
-    p = primitive_matrices(space)
-    n_jc, n_ajc = build_number_ops(space)
-    return {
-        "s_z": OperatorMatrix(space, p["sz"], hermitian=True),
-        "sp_sm": OperatorMatrix(space, p["sp"] @ p["sm"], hermitian=True),
-        "sm_sp": OperatorMatrix(space, p["sm"] @ p["sp"], hermitian=True),
-        "ad_a": OperatorMatrix(space, p["ata"], hermitian=True),
-        "a_ad": OperatorMatrix(space, p["ata"] + p["eye"], hermitian=True),
-        "n_jc": n_jc,
-        "n_ajc": n_ajc,
-    }
+    t = _terms(space)
+    keys = {"s_z": "sz", "sp_sm": "sp_sm", "sm_sp": "sm_sp", "ad_a": "ata", "a_ad": "a_ad", "n_jc": "n_jc", "n_ajc": "n_ajc"}
+    return {name: OperatorMatrix(space, t[key], hermitian=True) for name, key in keys.items()}
 
 
 def observable_series(
@@ -153,7 +144,7 @@ def compare_scenario(
     raw = observable_series(numeric_states, standard_observables(space))
     predicted = analytic.observables(params, frame, n, grid).as_dict()
     obs_dev = {
-        column: float(np.max(np.abs(np.broadcast_to(predicted[column], grid.shape) - raw[raw_name])))
+        column: float(np.max(np.abs(np.broadcast_to(predicted[column], grid.shape) - raw[raw_name]), initial=0.0))
         for column, raw_name in spec.columns.items()
     }
     passed = state_dev <= STATE_TOL and all(v <= OBS_TOL for v in obs_dev.values())

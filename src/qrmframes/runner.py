@@ -197,8 +197,12 @@ def run_experiment(config: ExperimentConfig) -> TimeSeriesBundle:
     return TimeSeriesBundle(config=config, tau=tau, series=series)
 
 
-CSV_BLOCK_ROWS = 4096  # rows formatted by one `%` call while streaming a CSV
+CSV_BLOCK_ROWS = 4096  # CSV rows or SVG points formatted by one `%` call while streaming
 _CSV_ROW = ",".join(["%.12g"] * (len(COLUMNS) + 1)) + "\n"
+
+
+def _row_blocks(table: np.ndarray):  # consecutive slices of at most CSV_BLOCK_ROWS rows
+    return (table[start:start + CSV_BLOCK_ROWS] for start in range(0, len(table), CSV_BLOCK_ROWS))
 
 
 def _write_text(path: str | Path, chunks) -> Path:
@@ -225,8 +229,7 @@ def emit_csv(bundle: TimeSeriesBundle, path: str | Path) -> Path:
     table = np.stack([bundle.tau] + [bundle.series[name] for name in COLUMNS], axis=1, dtype=float)
     table += 0.0  # turns -0.0 into 0.0, so equal series emit equal bytes
     header = f"# config: {bundle.config.to_json()}\n{CSV_HEADER}\n"
-    blocks = (table[start:start + CSV_BLOCK_ROWS] for start in range(0, len(table), CSV_BLOCK_ROWS))
-    rows = (_CSV_ROW * len(block) % tuple(block.ravel().tolist()) for block in blocks)
+    rows = (_CSV_ROW * len(block) % tuple(block.ravel().tolist()) for block in _row_blocks(table))
     return _write_text(path, chain([header], rows))
 
 
@@ -283,7 +286,7 @@ def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
 
     Self-contained (no scripts or external references) and deterministic;
     a constant column renders as a horizontal line centered in the frame.
-    A failed write leaves no file.
+    Points stream in blocks of CSV_BLOCK_ROWS; a failed write leaves no file.
     """
     values = bundle.column(column)
     tau = bundle.tau
@@ -340,10 +343,12 @@ def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
     )
     # sx/sy on whole arrays do the scalar IEEE operations in the same order
     xy = np.stack([sx(np.asarray(tau, dtype=float)), sy(np.asarray(values, dtype=float))], axis=1)
-    points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
-    parts.append(f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.2" points="{points}"/>')
-    parts.append("</svg>")
-    return _write_text(path, ["\n".join(parts) + "\n"])
+    parts.append('<polyline fill="none" stroke="#1f77b4" stroke-width="1.2" points="')
+    points = (
+        (" " if k else "") + " ".join(["%.2f,%.2f"] * len(block)) % tuple(block.ravel().tolist())
+        for k, block in enumerate(_row_blocks(xy))
+    )
+    return _write_text(path, chain(["\n".join(parts)], points, ['"/>\n</svg>\n']))
 
 
 def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 2000) -> dict:
@@ -407,11 +412,9 @@ def beat_modulation_period(tau, values) -> float:
     spec[omega >= BEAT_FAST_CUTOFF] = 0.0
     smooth = np.fft.irfft(spec, n=y.size)
     smooth = smooth - smooth.mean()
-    crossings = []
-    for i in range(smooth.size - 1):
-        if smooth[i] * smooth[i + 1] < 0.0:
-            frac = smooth[i] / (smooth[i] - smooth[i + 1])
-            crossings.append(tau[i] + frac * (tau[i + 1] - tau[i]))
+    i = np.flatnonzero(smooth[:-1] * smooth[1:] < 0.0)
+    frac = smooth[i] / (smooth[i] - smooth[i + 1])
+    crossings = tau[i] + frac * (tau[i + 1] - tau[i])
     if len(crossings) < 3:
         raise ValueError("no beat envelope found below the cutoff")
     # median spacing shrugs off spurious crossings from FFT edge leakage

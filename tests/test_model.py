@@ -17,6 +17,7 @@ from qrmframes import (
     fock_operators,
     frame_conjugation_check,
     qubit_operators,
+    standard_observables,
 )
 from qrmframes.hilbert import primitive_matrices
 from qrmframes.oracle import interior_commutator_norm
@@ -278,3 +279,66 @@ def test_frame_conjugation_over_a_time_array_is_the_worst_scalar_call(n_max):
         assert frame_conjugation_check(params, space, np.float64(times[3])) == (
             frame_conjugation_check(params, space, float(times[3]))
         )
+
+
+def test_frame_conjugation_over_no_times_is_zero():
+    for t in ([], np.array([]), np.empty((0, 3))):
+        assert frame_conjugation_check(FIG_RF, HilbertSpace(4), t) == 0.0
+
+
+def _reference_operators(params, space):
+    """Every builder and the raw observable set written out term by term from
+    the primitive set, each interaction product formed by its own matmul."""
+    p = primitive_matrices(space)
+    n_jc = p["ata"] + p["sp"] @ p["sm"]
+    n_ajc = p["ata"] + p["eye"] + p["sm"] @ p["sp"]
+    w, w0, g, delta, delta_bar = params.omega, params.omega0, params.g, params.delta, params.delta_bar
+    return {
+        "rabi": [w * (p["ata"] + 0.5 * p["eye"]) + w0 * p["sz"] + g * (p["a"] + p["ad"]) @ (p["sm"] + p["sp"])],
+        "number": [n_jc, n_ajc],
+        "components": [
+            w * n_jc + delta * p["sz"] + 2.0 * g * (p["a"] @ p["sp"] + p["ad"] @ p["sm"]) - 0.5 * w * p["eye"],
+            w * n_ajc + delta_bar * p["sz"] + 2.0 * g * (p["a"] @ p["sm"] + p["ad"] @ p["sp"]) - 0.5 * w * p["eye"],
+        ],
+        "effective": [
+            w * n_jc + delta * p["sz"] + g * (p["a"] @ p["sp"] + p["ad"] @ p["sm"]),
+            w * (n_ajc - p["eye"]) + delta_bar * p["sz"] + g * (p["a"] @ p["sm"] + p["ad"] @ p["sp"]),
+        ],
+        "transition": [
+            delta * p["sz"] + g * (p["a"] @ p["sp"] + p["ad"] @ p["sm"]),
+            delta_bar * p["sz"] + g * (p["a"] @ p["sm"] + p["ad"] @ p["sp"]),
+        ],
+        "observables": [
+            p["sz"], p["sp"] @ p["sm"], p["sm"] @ p["sp"], p["ata"], p["ata"] + p["eye"], n_jc, n_ajc,
+        ],
+    }
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40])
+@pytest.mark.parametrize(
+    "params",
+    [
+        FIG_RF,
+        FIG_CRF,
+        ModelParams.from_dimensionless(-0.08, 0.16),  # omega0 = 0
+        ModelParams(omega=1.7, omega0=0.3, g=0.9),
+    ],
+)
+def test_builders_equal_the_term_by_term_reference(params, n_max):
+    space = HilbertSpace(n_max)
+    built = {
+        "rabi": [build_rabi(params, space)],
+        "number": list(build_number_ops(space)),
+        "components": list(build_components(params, space)),
+        "effective": list(build_effective(params, space)),
+        "transition": list(build_transition_ops(params, space)),
+        "observables": list(standard_observables(space).values()),
+    }
+    reference = _reference_operators(params, space)
+    assert built.keys() == reference.keys()
+    for kind, ops in built.items():
+        assert len(ops) == len(reference[kind]), kind
+        for op, expected in zip(ops, reference[kind]):
+            assert op.hermitian, kind
+            assert np.array_equal(op.entries, expected), kind
+    assert list(standard_observables(space)) == ["s_z", "sp_sm", "sm_sp", "ad_a", "a_ad", "n_jc", "n_ajc"]

@@ -151,6 +151,17 @@ def test_compare_scenario_truncation_guard():
         compare_scenario(FIG_RF, "rf", 40, grid, n_max=41)
 
 
+@pytest.mark.parametrize("frame", ["rf", "crf"])
+def test_compare_scenario_on_an_empty_grid(frame):
+    report = compare_scenario(FIG_RF, frame, 0, [])
+    assert report.max_state_dev == 0.0
+    assert set(report.max_obs_dev.values()) == {0.0}
+    assert report.passed
+    assert report.states == []
+    assert report.raw.keys() == standard_observables(report.initial.space).keys()
+    assert all(series.size == 0 for series in report.raw.values())
+
+
 def test_compare_scenario_rejects_unknown_frame():
     with pytest.raises(ValueError):
         compare_scenario(FIG_RF, "lab", 0, [0.0])

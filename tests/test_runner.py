@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,17 +14,19 @@ from qrmframes import (
     COLUMNS,
     ConfigError,
     ExperimentConfig,
+    ModelParams,
     beat_modulation_period,
     emit_csv,
     emit_svg,
+    observables,
     parse_config_comment,
     read_csv,
     reproduce_figures,
     run_experiment,
     verify_suite,
 )
-from qrmframes import cli
-from qrmframes.runner import CSV_BLOCK_ROWS, CSV_HEADER, SVG_HEIGHT, SVG_MARGIN, SVG_WIDTH, TimeSeriesBundle
+from qrmframes import cli, model, oracle, runner
+from qrmframes.runner import BEAT_FAST_CUTOFF, CSV_BLOCK_ROWS, CSV_HEADER, SVG_HEIGHT, SVG_MARGIN, SVG_WIDTH, TimeSeriesBundle
 
 
 class TestExperimentConfig:
@@ -466,6 +469,28 @@ class TestSvg:
         b = emit_svg(run_experiment(cfg), "photon", tmp_path / "b.svg").read_bytes()
         assert a == b
 
+    def test_streamed_polyline_peaks_below_the_csv(self, tmp_path):
+        bundle = run_experiment(ExperimentConfig(frame="crf", n=40, xi=1.0 / 1.31, tau_max=50.0, steps=50_000))
+        peaks = {}
+        for name, emit in (("svg", lambda: emit_svg(bundle, "atomic_excitation", tmp_path / "big.svg")),
+                           ("csv", lambda: emit_csv(bundle, tmp_path / "big.csv"))):
+            tracemalloc.start()
+            try:
+                emit()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["svg"] < peaks["csv"]
+
+    def test_failure_mid_polyline_removes_the_file(self, tmp_path, monkeypatch):
+        bundle = edge_bundle(2 * CSV_BLOCK_ROWS + 1)
+        opened = fail_after_first_block(monkeypatch)
+        target = tmp_path / "partial.svg"
+        with pytest.raises(OSError):
+            emit_svg(bundle, "photon", target)
+        assert opened == [target]
+        assert not target.exists()
+
     def test_unknown_column_rejected_before_writing(self, tmp_path):
         bundle = run_experiment(ExperimentConfig(frame="rf", tau_max=1.0, steps=4))
         target = tmp_path / "bad.svg"
@@ -520,6 +545,26 @@ class TestBeatMeasurement:
         period = beat_modulation_period(bundle.tau, bundle.column("atomic_excitation"))
         expected = np.pi / (math.sqrt(41.0) - math.sqrt(39.0))
         assert period == pytest.approx(expected, rel=0.05)
+
+    @pytest.mark.parametrize("frame,n,samples", [("rf", 2, 4000), ("rf", 40, 9001), ("crf", 5, 4000), ("crf", 60, 20000)])
+    def test_equals_the_crossing_loop(self, frame, n, samples):
+        params = ModelParams.from_dimensionless(0.0 if frame == "rf" else 1.0 / 1.31, 0.16)
+        tau = np.linspace(0.0, 150.0, samples)
+        values = observables(params, frame, n, tau / params.g).atomic_excitation
+        # the same spectral smoothing, then the crossings visited one by one
+        y = values - values.mean()
+        y = y * y
+        spec = np.fft.rfft(y)
+        spec[2.0 * np.pi * np.fft.rfftfreq(y.size, d=float(tau[1] - tau[0])) >= BEAT_FAST_CUTOFF] = 0.0
+        smooth = np.fft.irfft(spec, n=y.size)
+        smooth = smooth - smooth.mean()
+        crossings = []
+        for i in range(smooth.size - 1):
+            if smooth[i] * smooth[i + 1] < 0.0:
+                frac = smooth[i] / (smooth[i] - smooth[i + 1])
+                crossings.append(tau[i] + frac * (tau[i + 1] - tau[i]))
+        assert len(crossings) >= 3
+        assert beat_modulation_period(tau, values) == 2.0 * float(np.median(np.diff(crossings)))
 
     def test_rejects_ragged_or_short_grids(self):
         with pytest.raises(ValueError):
@@ -576,6 +621,22 @@ class TestVerifySuite:
         # widened; the composition check reuses the first decomposition
         assert len(shapes) == 16
         assert len(set(shapes)) == 8
+
+    def test_number_operators_built_only_for_the_suite_itself(self, monkeypatch):
+        calls = []
+        real_build = model.build_number_ops
+
+        def counting_build(space):
+            calls.append(space.n_max)
+            return real_build(space)
+
+        for module in (model, oracle, runner):
+            if hasattr(module, "build_number_ops"):
+                monkeypatch.setattr(module, "build_number_ops", counting_build)
+        assert verify_suite().passed
+        # one call per parameter set for the algebra checks and one for the
+        # eigenstate checks; the builders and the oracle read the term table
+        assert calls == [20, 20, 50, 50]
 
     def test_nonzero_pattern_checks_keep_their_floor(self):
         report = verify_suite(tol=1e-15)
