@@ -2,9 +2,10 @@
 """Regenerate the full figure set: one CSV + SVG pair per panel, plus manifest."""
 
 import argparse
+import sys
 from pathlib import Path
 
-from qrmframes import reproduce_figures
+from qrmframes import ConfigError, reproduce_figures
 
 
 def main() -> None:
@@ -17,7 +18,11 @@ def main() -> None:
                         help="samples per series (default: 2000)")
     args = parser.parse_args()
 
-    manifest = reproduce_figures(args.outdir, tau_max=args.tau_max, steps=args.steps)
+    try:
+        manifest = reproduce_figures(args.outdir, tau_max=args.tau_max, steps=args.steps)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(2)
     for entry in manifest["figures"]:
         print(f"{entry['name']}  frame={entry['frame']} n={entry['n']:<3d} "
               f"column={entry['column']}")

@@ -499,6 +499,19 @@ class TestSvg:
         assert not target.exists()
 
 
+def figure_set_reference(outdir, tau_max, steps):
+    """The figure set written panel by panel with the public emitters, one CSV format per panel."""
+    outdir.mkdir()
+    for name, frame, n, column in runner.FIGURE_SET:
+        bundle = run_experiment(ExperimentConfig(
+            frame=frame, n=n, xi=runner.FIGURE_XI[frame], epsilon=runner.FIGURE_EPSILON,
+            tau_max=tau_max, steps=steps, outputs=("csv", "svg"),
+        ))
+        emit_csv(bundle, outdir / f"{name}.csv")
+        emit_svg(bundle, column, outdir / f"{name}.svg")
+    return outdir
+
+
 class TestFigureSet:
     def test_reproduce_figures_emits_all_pairs(self, tmp_path):
         manifest = reproduce_figures(tmp_path, tau_max=10.0, steps=200)
@@ -529,6 +542,70 @@ class TestFigureSet:
         manifest = reproduce_figures(tmp_path, tau_max=5.0, steps=50)
         combos = {(e["frame"], e["n"]) for e in manifest["figures"]}
         assert combos == {("rf", 0), ("rf", 40), ("crf", 0), ("crf", 40)}
+
+    @pytest.mark.parametrize("steps", [50, 2 * CSV_BLOCK_ROWS + 1])
+    def test_equals_the_per_panel_emitters_byte_for_byte(self, tmp_path, steps):
+        written = tmp_path / "set"
+        reproduce_figures(written, tau_max=20.0, steps=steps)
+        reference = figure_set_reference(tmp_path / "ref", 20.0, steps)
+        names = sorted(path.name for path in reference.iterdir())
+        assert sorted(path.name for path in written.iterdir()) == sorted(names + ["manifest.json"])
+        for name in names:
+            assert (written / name).read_bytes() == (reference / name).read_bytes(), name
+        if steps > 2 * CSV_BLOCK_ROWS:  # the copied siblings span several read chunks
+            assert (reference / "fig02.csv").stat().st_size > 2 * runner._COPY_CHUNK
+
+    def test_each_scenario_formats_its_csv_once(self, tmp_path, monkeypatch):
+        formatted = []
+        real_emit_csv = runner.emit_csv
+
+        def counting(bundle, path):
+            formatted.append(Path(path).name)
+            return real_emit_csv(bundle, path)
+
+        monkeypatch.setattr(runner, "emit_csv", counting)
+        reproduce_figures(tmp_path, tau_max=5.0, steps=50)
+        assert formatted == ["fig01.csv", "fig05.csv", "fig08.csv", "fig12.csv"]
+
+    @pytest.mark.parametrize("kwargs", [{"steps": 1}, {"tau_max": math.nan}])
+    def test_bad_config_touches_no_disk(self, tmp_path, kwargs):
+        outdir = tmp_path / "figs"
+        with pytest.raises(ConfigError):
+            reproduce_figures(outdir, **kwargs)
+        assert not outdir.exists()
+
+    def test_failed_sibling_copy_removes_only_its_file(self, tmp_path, monkeypatch):
+        fail_writes_to(monkeypatch, "fig02.csv")
+        with pytest.raises(OSError):
+            reproduce_figures(tmp_path / "set", tau_max=5.0, steps=50)
+        monkeypatch.undo()
+        reference = figure_set_reference(tmp_path / "ref", 5.0, 50)
+        assert not (tmp_path / "set" / "fig02.csv").exists()
+        assert (tmp_path / "set" / "fig01.csv").read_bytes() == (reference / "fig01.csv").read_bytes()
+
+    def test_figures_command_exits_3_on_a_failed_sibling_copy(self, tmp_path, monkeypatch, capsys):
+        fail_writes_to(monkeypatch, "fig02.csv")
+        assert cli.main(["figures", "--outdir", str(tmp_path)]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        assert not (tmp_path / "fig02.csv").exists()
+        assert (tmp_path / "fig01.csv").exists()
+
+    def test_failed_sibling_open_keeps_an_existing_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "fig02.csv"
+        target.write_text("user data\n", encoding="utf-8")
+        real_open = Path.open
+
+        def refuse_fig02(self, *args, **kwargs):
+            if self.name == "fig02.csv":
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", refuse_fig02)
+        with pytest.raises(PermissionError):
+            reproduce_figures(tmp_path, tau_max=5.0, steps=50)
+        monkeypatch.undo()
+        assert target.read_text(encoding="utf-8") == "user data\n"
+        assert (tmp_path / "fig01.csv").exists()
 
 
 class TestBeatMeasurement:

@@ -50,3 +50,16 @@ def test_make_figures_writes_the_figure_set(tmp_path, monkeypatch, capsys):
     assert names == sorted([f"fig{k:02d}.{ext}" for k in range(1, 15) for ext in ("csv", "svg")] + ["manifest.json"])
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == f"14 figure pairs and manifest.json in {outdir}"
+
+
+@pytest.mark.parametrize("option, value, field", [("--steps", "1", "steps"), ("--tau-max", "nan", "tau_max")])
+def test_make_figures_rejects_a_bad_config_before_creating_the_directory(tmp_path, monkeypatch, capsys, option, value, field):
+    outdir = tmp_path / "figs"
+    monkeypatch.setattr(sys, "argv", ["make_figures.py", "--outdir", str(outdir), option, value])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "make_figures.py"), run_name="__main__")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}: ")
+    assert captured.out == ""
+    assert not outdir.exists()
