@@ -96,6 +96,12 @@ def _check_family_args(atom: str, n: int) -> None:
         raise ValueError(f"family index must be a non-negative integer, got {n!r}")
 
 
+def _check_n(n) -> None:
+    """Reject an excitation index that is not a non-negative integer; bool is not one."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+
+
 def _doublet(g: float, m: int, half_detuning: float) -> tuple[float, float, float]:
     """(rabi, c, s) for photon factor m; (0, 0, 0) marks a degenerate doublet."""
     rabi = math.hypot(g * math.sqrt(m), half_detuning)
@@ -149,8 +155,7 @@ def _eigenstate(
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     need = spec.initial_number(n)
     if need > space.n_max:
         raise TruncationError(f"eigenstate at n={n} needs n_max >= {need}, got {space.n_max}")
@@ -280,8 +285,7 @@ def _branch_series(
     amplitude.
     """
     spec = frame_spec(frame)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     if n + 2 > space.n_max:
         raise TruncationError(f"closed-form evolution at n={n} needs n_max >= {n + 2}, got {space.n_max}")
 
@@ -375,8 +379,7 @@ def observables(params: ModelParams, frame: str, n: int, t) -> Observables:
 
 def _observables(params: ModelParams, frame: str, n: int, t) -> Observables:
     spec = FRAMES[frame]
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_n(n)
     tt = _as_time_array(t)
     r1, _, s1 = spec.doublet(params, spec.top_atom, n)
     top_factor = 1.0 - 2.0 * s1**2 * np.sin(r1 * tt) ** 2

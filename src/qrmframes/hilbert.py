@@ -30,7 +30,7 @@ class HilbertSpace:
     n_max: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
             raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
 
     @property

@@ -593,7 +593,7 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
                 (bounded, f"scenario {label} observable dev", lambda: report.worst_obs_dev(), 1e-9),
                 (bounded, f"conserved {spec.conserved} flat {label}", lambda: np.ptp(report.raw[spec.conserved]), 1e-12),
                 (exceeds, f"alternate {spec.varying} varies {label}", lambda: np.ptp(report.raw[spec.varying]), 0.01),
-                (bounded, f"propagation unitarity {label}", lambda: max(abs(psi.norm() - 1.0) for psi in report.states), 1e-12),
+                (bounded, f"propagation unitarity {label}", lambda: np.max(np.abs(np.linalg.norm(report.amps, axis=1) - 1.0)), 1e-12),
                 (bounded, f"propagation composition {label}", lambda: np.max(np.abs(halves.amps - whole.amps)), 1e-11),
                 (bounded, f"truncation robustness {label}",
                  lambda: max(float(np.max(np.abs(report.raw[k] - wide.raw[k]))) for k in report.raw), 1e-10),
@@ -633,11 +633,12 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
         try:
             orth_space = HilbertSpace(nm_orth)
             orth_dev = 0.0
-            for t in rng.uniform(0.0, 40.0, size=50):
-                for maker in (analytic.rf_branch_states, analytic.crf_branch_states):
-                    top, bot = maker(params, orth_space, 5, float(t))
-                    orth_dev = max(orth_dev, abs(top.norm() - 1.0), abs(bot.norm() - 1.0))
-                    orth_dev = max(orth_dev, abs(top.overlap(bot)))
+            times = rng.uniform(0.0, 40.0, size=50)
+            for frame in analytic.FRAMES:
+                top, bot = analytic._branch_series(params, orth_space, frame, 5, times)
+                norms = np.linalg.norm(np.concatenate((top, bot)), axis=1)
+                overlaps = np.einsum("ti,ti->t", top.conj(), bot)
+                orth_dev = max(orth_dev, float(np.max(np.abs(norms - 1.0))), float(np.max(np.abs(overlaps))))
             bounded(f"branch orthonormality {tag}", orth_dev, 1e-12)
         except TruncationError as exc:
             failed(f"branch orthonormality {tag}", f"truncation too small: {exc}")

@@ -348,6 +348,19 @@ def test_frame_entry_points_reject_an_unknown_frame(entry, frame):
         calls[entry]()
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, True])
+@pytest.mark.parametrize("entry", ["observables", "initial_state", "evolve_series"])
+def test_frame_entry_points_reject_a_non_integer_n_by_name(entry, n):
+    space = HilbertSpace(6)
+    calls = {
+        "observables": lambda: observables(FIG_RF, "rf", n, [0.0, 1.0]),
+        "initial_state": lambda: initial_state(FIG_RF, space, "crf", n),
+        "evolve_series": lambda: evolve_series(FIG_RF, space, "rf", n, [0.0]),
+    }
+    with pytest.raises(ValueError, match=r"^n must be a non-negative integer"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("frame", ["rf", "crf"])
 def test_observables_goes_through_the_per_frame_entry_point(frame, monkeypatch):
     seen = []

@@ -38,6 +38,8 @@ def test_space_rejects_bad_arguments():
         HilbertSpace(-1)
     with pytest.raises(ValueError):
         HilbertSpace(2.5)
+    with pytest.raises(ValueError, match="n_max"):
+        HilbertSpace(True)
     space = HilbertSpace(2)
     with pytest.raises(ValueError):
         space.index("x", 0)

@@ -162,6 +162,12 @@ def test_compare_scenario_on_an_empty_grid(frame):
     assert all(series.size == 0 for series in report.raw.values())
 
 
+@pytest.mark.parametrize("n", [2.0, 1.5, True])
+def test_compare_scenario_rejects_a_non_integer_n_by_name(n):
+    with pytest.raises(ValueError, match=r"^n must be a non-negative integer"):
+        compare_scenario(FIG_RF, "rf", n, [0.0])
+
+
 def test_compare_scenario_rejects_unknown_frame():
     with pytest.raises(ValueError):
         compare_scenario(FIG_RF, "lab", 0, [0.0])
@@ -323,3 +329,46 @@ def test_column_maps_are_the_frame_table_maps():
     assert RF_COLUMN_MAP is FRAMES["rf"].columns
     assert CRF_COLUMN_MAP is FRAMES["crf"].columns
     assert list(FRAMES) == ["rf", "crf"]
+
+
+def _random_states(rng, space, count):
+    amps = rng.normal(size=(count, space.dim)) + 1j * rng.normal(size=(count, space.dim))
+    return [StateVector(space, row / np.linalg.norm(row)) for row in amps]
+
+
+def test_diagonal_observables_match_the_dense_product():
+    rng = np.random.default_rng(9)
+    space = HilbertSpace(7)
+    states = _random_states(rng, space, 25)
+    stack = np.stack([psi.amps for psi in states])
+    ops = standard_observables(space)
+    series = observable_series(states, ops)
+    assert len(ops) == 7
+    for name, op in ops.items():
+        assert np.count_nonzero(op.entries - np.diag(np.diag(op.entries))) == 0
+        dense = np.einsum("ti,ti->t", stack.conj(), stack @ op.entries.T).real
+        assert np.max(np.abs(series[name] - dense)) <= 1e-13
+        assert np.max(np.abs(series[name] - [expectation(psi, op) for psi in states])) <= 1e-13
+
+
+@pytest.mark.parametrize("row,col", [(0, 1), (2, 5), (0, 15), (14, 15)])
+def test_one_off_diagonal_pair_takes_the_dense_path(row, col):
+    rng = np.random.default_rng(11)
+    space = HilbertSpace(7)
+    entries = np.diag(rng.normal(size=space.dim)).astype(complex)
+    entries[row, col] = 0.3 - 0.7j
+    entries[col, row] = 0.3 + 0.7j
+    op = OperatorMatrix(space, entries, hermitian=True)
+    states = _random_states(rng, space, 10)
+    series = observable_series(states, {"op": op})["op"]
+    diagonal_only = observable_series(states, {"op": OperatorMatrix(space, np.diag(np.diag(entries)), hermitian=True)})["op"]
+    assert np.min(np.abs(series - diagonal_only)) > 1e-6
+    assert np.max(np.abs(series - [expectation(psi, op) for psi in states])) <= 1e-13
+
+
+def test_imaginary_diagonal_still_raises():
+    rng = np.random.default_rng(13)
+    space = HilbertSpace(3)
+    op = OperatorMatrix(space, np.diag(1j * np.arange(space.dim)))
+    with pytest.raises(NumericConsistencyError, match="imaginary residue"):
+        observable_series(_random_states(rng, space, 4), {"op": op})

@@ -699,6 +699,21 @@ class TestVerifySuite:
         assert len(shapes) == 16
         assert len(set(shapes)) == 8
 
+    def test_state_objects_per_default_run(self, monkeypatch):
+        built = []
+        real_init = oracle.StateVector.__post_init__
+
+        def counting_init(state):
+            built.append(state.space.dim)
+            real_init(state)
+
+        monkeypatch.setattr(oracle.StateVector, "__post_init__", counting_init)
+        assert verify_suite().passed
+        # the compared trajectories stay (T, d) arrays; what is left is the
+        # 16 initial states, 3 per composition check (8 scenarios) and the
+        # 36 eigenstates of the residual checks
+        assert len(built) == 76
+
     def test_number_operators_built_only_for_the_suite_itself(self, monkeypatch):
         calls = []
         real_build = model.build_number_ops
