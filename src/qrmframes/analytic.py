@@ -11,8 +11,8 @@ factor into two-level doublets labelled by a family tag:
 Every doublet carries a Rabi frequency R = g sqrt(m + d^2) with m the photon
 factor and d the dimensionless detuning, a cosine c = detuning/(2R) that
 keeps the detuning sign, and a sine s = g sqrt(m)/R >= 0. The transition
-state attached to an e-family doublet is c|bare> + s|partner>; a g-family
-doublet uses -c|bare> + s|partner>.
+state of the doublet at an e atom is c|bare> + s|partner>; at a g atom it
+is -c|bare> + s|partner>.
 
 Rotating-frame evolution starts from the plus-branch eigenstate of the
 counter-rotating component; counter-rotating-frame evolution starts from
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,35 +89,36 @@ class Observables:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _check_family_args(atom: str, n: int) -> None:
-    if atom not in ("g", "e"):
-        raise ValueError(f"family atom must be 'g' or 'e', got {atom!r}")
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"family index must be a non-negative integer, got {n!r}")
-
-
-def _check_n(n) -> None:
-    """Reject an excitation index that is not a non-negative integer; bool is not one."""
+def _check_n(n, name: str = "n") -> None:
+    """Reject an index that is not a non-negative integer; bool is not one."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
 
 
-def _doublet(g: float, m: int, half_detuning: float) -> tuple[float, float, float]:
-    """(rabi, c, s) for photon factor m; (0, 0, 0) marks a degenerate doublet."""
-    rabi = math.hypot(g * math.sqrt(m), half_detuning)
+# per family, the atom whose doublet partner holds one photon more
+_RAISED = {"jc": "e", "ajc": "g"}
+_OTHER = {"e": "g", "g": "e", "jc": "ajc", "ajc": "jc"}
+
+
+def _doublet(params: ModelParams, family: str, atom: str, n: int) -> tuple[float, float, float]:
+    """(rabi, c, s) of the `family` doublet at |atom, n>, whose photon factor m
+    is the pair's larger photon number; (0, 0, 0) marks a degenerate doublet."""
+    m = n + 1 if atom == _RAISED[family] else n
+    half_detuning = 0.5 * (params.delta if family == "jc" else params.delta_bar)
+    rabi = math.hypot(params.g * math.sqrt(m), half_detuning)
     if rabi == 0.0:
         return 0.0, 0.0, 0.0
-    return rabi, half_detuning / rabi, g * math.sqrt(m) / rabi
+    return rabi, half_detuning / rabi, params.g * math.sqrt(m) / rabi
 
 
-def _jc_doublet(params: ModelParams, atom: str, n: int) -> tuple[float, float, float]:
-    m = n + 1 if atom == "e" else n
-    return _doublet(params.g, m, 0.5 * params.delta)
-
-
-def _ajc_doublet(params: ModelParams, atom: str, n: int) -> tuple[float, float, float]:
-    m = n if atom == "e" else n + 1
-    return _doublet(params.g, m, 0.5 * params.delta_bar)
+def _branch(params: ModelParams, family: str, atom: str, n: int) -> BranchCoeffs:
+    if atom not in ("g", "e"):
+        raise ValueError(f"family atom must be 'g' or 'e', got {atom!r}")
+    _check_n(n, "family index")
+    rabi, c, s = _doublet(params, family, atom, n)
+    if rabi == 0.0:
+        raise DegenerateBranchError(f"{family}-{atom}({n}) doublet is degenerate at xi = {params.xi}")
+    return BranchCoeffs(rabi, c, s, f"{family}-{atom}({n})")
 
 
 def jc_branch(params: ModelParams, atom: str, n: int) -> BranchCoeffs:
@@ -127,28 +128,18 @@ def jc_branch(params: ModelParams, atom: str, n: int) -> BranchCoeffs:
     that case raises DegenerateBranchError and callers must treat |g,0> as
     a null eigenvector of the transition operator.
     """
-    _check_family_args(atom, n)
-    rabi, c, s = _jc_doublet(params, atom, n)
-    if rabi == 0.0:
-        raise DegenerateBranchError(
-            f"jc-{atom}({n}) doublet is degenerate at xi = {params.xi}"
-        )
-    return BranchCoeffs(rabi, c, s, f"jc-{atom}({n})")
+    return _branch(params, "jc", atom, n)
 
 
 def ajc_branch(params: ModelParams, atom: str, n: int) -> BranchCoeffs:
-    """Dressing coefficients of the counter-rotating doublet at |atom, n>."""
-    _check_family_args(atom, n)
-    rabi, c, s = _ajc_doublet(params, atom, n)
-    # delta_bar = omega0 + omega > 0 for any valid params, so rabi > 0 always
-    assert rabi > 0.0, "counter-rotating doublet cannot be degenerate"
-    return BranchCoeffs(rabi, c, s, f"ajc-{atom}({n})")
+    """Dressing coefficients of the counter-rotating doublet at |atom, n>, never degenerate."""
+    return _branch(params, "ajc", atom, n)
 
 
 def _eigenstate(
     params: ModelParams, space: HilbertSpace, spec: Frame, n: int, sign: int
-) -> tuple[StateVector, float]:
-    """(state, energy) of `ajc_eigenstate` (rf) or `jc_eigenstate` (crf): the
+) -> tuple[np.ndarray, float]:
+    """(amplitudes, energy) of `ajc_eigenstate` (rf) or `jc_eigenstate` (crf): the
     `spec.dressing` doublet on {|top_atom, n>, |bottom_atom, n-1>}, with bare
     amplitude 1 + sign*c for top atom e and 1 - sign*c for top atom g; at
     n = 0 the bare state, energy (+-c) * rabi. Needs n_max >= initial_number(n).
@@ -166,11 +157,11 @@ def _eigenstate(
     amps = np.zeros(space.dim, dtype=np.complex128)
     if n == 0:
         amps[space.index(spec.top_atom, 0)] = 1.0
-        return StateVector(space, amps), c * rabi
+        return amps, c * rabi
     amps[space.index(spec.top_atom, n)] = 1.0 + sign * c
     amps[space.index(spec.bottom_atom, n - 1)] = sign * s
     amps /= np.linalg.norm(amps)
-    return StateVector(space, amps), params.omega * n + sign * rabi
+    return amps, params.omega * n + sign * rabi
 
 
 def ajc_eigenstate(
@@ -182,7 +173,8 @@ def ajc_eigenstate(
     only the plus branch exists (it is |e,0> with energy delta_bar/2); the
     minus branch raises NullStateError.
     """
-    return _eigenstate(params, space, FRAMES["rf"], n, sign)
+    amps, energy = _eigenstate(params, space, FRAMES["rf"], n, sign)
+    return StateVector(space, amps), energy
 
 
 def jc_eigenstate(
@@ -197,14 +189,12 @@ def jc_eigenstate(
     plus label raises NullStateError. This also covers the degenerate
     doublet at zero detuning, where the energy is exactly zero.
     """
-    return _eigenstate(params, space, FRAMES["crf"], n, sign)
-
-
-_OTHER_ATOM = {"e": "g", "g": "e"}
+    amps, energy = _eigenstate(params, space, FRAMES["crf"], n, sign)
+    return StateVector(space, amps), energy
 
 
 class Frame(NamedTuple):
-    """One frame's physics: the state evolves in `doublet` doublets at
+    """One frame's physics: the state evolves in the `family` doublets at
     |top_atom, n> and |bottom_atom, n-1>, starting from the `sign` branch of
     the eigenstate that the other family's doublet at |top_atom, n>
     (`dressing`) dresses. `doublet(params, atom, n)` gives (rabi, c, s) of
@@ -213,7 +203,7 @@ class Frame(NamedTuple):
     expectations, and `conserved` / `varying` name the raw numbers.
     """
 
-    doublet: Callable[[ModelParams, str, int], tuple[float, float, float]]
+    family: str
     top_atom: str
     sign: int
     hamiltonian: int
@@ -223,26 +213,28 @@ class Frame(NamedTuple):
 
     @property
     def bottom_atom(self) -> str:
-        return _OTHER_ATOM[self.top_atom]
+        return _OTHER[self.top_atom]
 
     def initial_number(self, n: int) -> int:
         """The `varying` number of the initial eigenstate at n: N_bar = n + 1 on |e,n>, N = n on |g,n>."""
         return n + 1 if self.top_atom == "e" else n
 
-    @property
-    def dressing(self) -> Callable[[ModelParams, str, int], tuple[float, float, float]]:
-        return _ajc_doublet if self.doublet is _jc_doublet else _jc_doublet
+    def doublet(self, params: ModelParams, atom: str, n: int) -> tuple[float, float, float]:
+        return _doublet(params, self.family, atom, n)
+
+    def dressing(self, params: ModelParams, atom: str, n: int) -> tuple[float, float, float]:
+        return _doublet(params, _OTHER[self.family], atom, n)
 
 
 FRAMES = {
     "rf": Frame(
-        _jc_doublet, "e", +1, 0,
+        "jc", "e", +1, 0,
         {"s_z": "s_z", "atomic_excitation": "sp_sm", "photon": "ad_a",
          "n_jc": "n_jc", "n_ajc": "n_ajc"},
         "n_jc", "n_ajc",
     ),
     "crf": Frame(
-        _ajc_doublet, "g", -1, 1,
+        "ajc", "g", -1, 1,
         {"s_z": "s_z", "atomic_excitation": "sm_sp", "photon": "a_ad",
          "n_jc": "n_jc", "n_ajc": "n_ajc"},
         "n_ajc", "n_jc",
@@ -261,7 +253,7 @@ def initial_state(params: ModelParams, space: HilbertSpace, frame: str, n: int) 
     """Plus-branch counter-rotating eigenstate (rf) or minus-branch rotating
     eigenstate (crf) at n; at n = 0 the bare |e,0> or |g,0>."""
     spec = frame_spec(frame)
-    return _eigenstate(params, space, spec, n, spec.sign)[0]
+    return StateVector(space, _eigenstate(params, space, spec, n, spec.sign)[0])
 
 
 def _as_time_array(t) -> np.ndarray:
@@ -271,60 +263,56 @@ def _as_time_array(t) -> np.ndarray:
     return arr
 
 
-def _branch_series(
-    params: ModelParams, space: HilbertSpace, frame: str, n: int, tt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(T, d) amplitudes of the frame's two doublet evolutions over times tt.
-
-    The top branch lives in the doublet at |atom, n> with partner photon
-    number n+1 and phase photon number n+1; the bottom branch in the doublet
-    at |other, n-1> with partner photon number n-2 and phase photon number
-    n-1, and is None at n = 0. Both stay unit norm and mutually orthogonal
-    at every t. An e-family transition state is c|bare> + s|partner> and a
-    g-family one -c|bare> + s|partner>, hence -i c or +i c on the bare
-    amplitude.
-    """
+def _evolution_spec(space: HilbertSpace, frame: str, n: int) -> Frame:
+    """`frame_spec`, once n is valid and n + 2 <= n_max leaves headroom above the support."""
     spec = frame_spec(frame)
     _check_n(n)
     if n + 2 > space.n_max:
         raise TruncationError(f"closed-form evolution at n={n} needs n_max >= {n + 2}, got {space.n_max}")
+    return spec
 
-    def evolve(atom: str, m: int, phase_m: int, partner_m: int) -> np.ndarray:
-        rabi, c, s = spec.doublet(params, atom, m)
-        phase = np.exp(-1j * params.omega * phase_m * tt)
+
+def _evolve(params: ModelParams, space: HilbertSpace, family: str, amps0, tt) -> np.ndarray:
+    """(T, d) evolution of amps0 over times tt: each nonzero bare component
+    |atom, k> rotates inside its `family` doublet, with the phase
+    exp(-i omega m t) of the pair's larger photon number m; a partner below
+    photon 0 leaves a singleton, one above n_max raises TruncationError."""
+    out = np.zeros((tt.size, space.dim), dtype=np.complex128)
+    photons, excited = space.photon_numbers(), space.excited_mask()
+    for index in np.flatnonzero(amps0):
+        atom, k = ("e" if excited[index] else "g"), int(photons[index])
+        partner = k + 1 if atom == _RAISED[family] else k - 1
+        rabi, c, s = _doublet(params, family, atom, k)
+        phase = np.exp(-1j * params.omega * max(k, partner) * tt)
         cos, sin = np.cos(rabi * tt), np.sin(rabi * tt)
-        twist = -1j if atom == "e" else 1j
-        amps = np.zeros((tt.size, space.dim), dtype=np.complex128)
-        amps[:, space.index(atom, m)] = phase * (cos + twist * c * sin)
-        if partner_m >= 0:
-            amps[:, space.index(_OTHER_ATOM[atom], partner_m)] = phase * (-1j * s * sin)
-        return amps
+        twist = -1j if atom == "e" else 1j  # see the transition states above
+        out[:, index] += amps0[index] * (phase * (cos + twist * c * sin))
+        if partner >= 0:
+            out[:, space.index(_OTHER[atom], partner)] += amps0[index] * (phase * (-1j * s * sin))
+    return out
 
-    top = evolve(spec.top_atom, n, n + 1, n + 1)
+
+def _branch_series(
+    params: ModelParams, space: HilbertSpace, frame: str, n: int, tt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(T, d) evolutions of |top_atom, n> and |bottom_atom, n-1> (None at n = 0)
+    over times tt; both stay unit norm and mutually orthogonal at every t."""
+    spec = _evolution_spec(space, frame, n)
+    unit = np.eye(space.dim)
+    top = _evolve(params, space, spec.family, unit[space.index(spec.top_atom, n)], tt)
     if n == 0:
         return top, None
-    return top, evolve(spec.bottom_atom, n - 1, n - 1, n - 2)
+    return top, _evolve(params, space, spec.family, unit[space.index(spec.bottom_atom, n - 1)], tt)
 
 
 def evolve_series(
     params: ModelParams, space: HilbertSpace, frame: str, n: int, grid
 ) -> np.ndarray:
-    """Closed-form frame state at every grid time, as a (T, d) amplitude array.
-
-    The frame's initial state (see `initial_state`) splits over its two
-    doublets with weights (1 + c) and sign * s of the dressing pair; at
-    n = 0 it is the top branch's bare state. Support spans photon numbers
-    n-2 .. n+1, so n + 2 <= n_max is required as headroom for cross-checks
-    against matrix propagation.
-    """
-    top, bottom = _branch_series(params, space, frame, n, _as_time_array(grid).reshape(-1))
-    if bottom is None:
-        return top
-    spec = FRAMES[frame]
-    _, c, s = spec.dressing(params, spec.top_atom, n)
-    s = spec.sign * s
-    norm = math.sqrt(2.0 * (1.0 + c))
-    return (1.0 + c) / norm * top + (s / norm) * bottom
+    """Closed-form frame state at every grid time, as a (T, d) amplitude array:
+    `initial_state` evolved doublet by doublet; needs n + 2 <= n_max."""
+    tt = _as_time_array(grid).reshape(-1)
+    spec = _evolution_spec(space, frame, n)
+    return _evolve(params, space, spec.family, _eigenstate(params, space, spec, n, spec.sign)[0], tt)
 
 
 def _branch_states(

@@ -50,7 +50,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("omega", "omega0", "g"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
@@ -173,7 +173,7 @@ def build_parity(space: HilbertSpace, k: int) -> OperatorMatrix:
     +/-1; both number operators give the same parity because they differ
     by an even integer on every basis state.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"parity exponent k must be an integer >= 1, got {k!r}")
     n_vals = space.photon_numbers() + space.excited_mask().astype(int)
     signs = np.where((k * n_vals) % 2 == 0, 1.0, -1.0)

@@ -21,7 +21,7 @@ from .errors import ConfigError, NumericConsistencyError, TruncationError
 from .hilbert import HilbertSpace
 from .model import ModelParams, build_components, build_effective, build_number_ops, build_parity, build_rabi, build_transition_ops, frame_conjugation_check
 from .oracle import compare_scenario, interior_commutator_norm, interior_projector, propagate_series
-from . import analytic
+from . import analytic, oracle
 
 __all__ = [
     "COLUMNS",
@@ -589,8 +589,8 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
             # (record, name, value, bound); a scenario that does not fit the
             # truncation fails every one of its checks with the same note
             for record, name, value, bound in (
-                (bounded, f"scenario {label} state dev", lambda: report.max_state_dev, 1e-9),
-                (bounded, f"scenario {label} observable dev", lambda: report.worst_obs_dev(), 1e-9),
+                (bounded, f"scenario {label} state dev", lambda: report.max_state_dev, oracle.STATE_TOL),
+                (bounded, f"scenario {label} observable dev", lambda: report.worst_obs_dev(), oracle.OBS_TOL),
                 (bounded, f"conserved {spec.conserved} flat {label}", lambda: np.ptp(report.raw[spec.conserved]), 1e-12),
                 (exceeds, f"alternate {spec.varying} varies {label}", lambda: np.ptp(report.raw[spec.varying]), 0.01),
                 (bounded, f"propagation unitarity {label}", lambda: np.max(np.abs(np.linalg.norm(report.amps, axis=1) - 1.0)), 1e-12),

@@ -100,6 +100,11 @@ class TestBranchCoefficients:
         with pytest.raises(ValueError):
             ajc_branch(FIG_RF, "e", -1)
 
+    @pytest.mark.parametrize("maker", [jc_branch, ajc_branch])
+    def test_rejects_a_bool_index_by_name(self, maker):
+        with pytest.raises(ValueError, match="^family index must be a non-negative integer, got True"):
+            maker(FIG_RF, "e", True)
+
 
 class TestTransitionAlgebra:
     """The transition operators act inside each doublet with the branch data."""

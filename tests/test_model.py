@@ -59,6 +59,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(omega=float("inf"), omega0=1.0)
 
+    @pytest.mark.parametrize("field", ["omega", "omega0", "g"])
+    def test_rejects_a_bool_by_name(self, field):
+        values = {"omega": 1.0, "omega0": 0.0, "g": 1.0, field: True}
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got True"):
+            ModelParams(**values)
+
 
 def test_full_hamiltonian_diagonal_is_interaction_free():
     # the coupling term is purely off-diagonal, so diagonal entries carry
@@ -220,6 +226,10 @@ class TestParity:
             build_parity(space, 0)
         with pytest.raises(ValueError):
             build_parity(space, 1.5)
+
+    def test_rejects_a_bool_exponent_by_name(self):
+        with pytest.raises(ValueError, match="^parity exponent k must be an integer >= 1, got True"):
+            build_parity(HilbertSpace(2), True)
 
 
 def test_frame_conjugation_special_times():

@@ -34,6 +34,7 @@ from qrmframes import (
     qubit_operators,
     standard_observables,
 )
+from qrmframes import analytic
 from qrmframes.oracle import CRF_COLUMN_MAP, RF_COLUMN_MAP
 
 FIG_RF = ModelParams.from_dimensionless(0.0, 0.16)
@@ -302,6 +303,30 @@ def test_grid_closed_form_matches_scalar_evolution(n):
         for t, row in zip(grid, series):
             assert np.max(np.abs(row - scalar(params, space, n, float(t)).amps)) <= 1e-14
             assert np.max(np.abs(row - _loop_evolve(params, space, frame, n, float(t)))) <= 1e-14
+
+
+@pytest.mark.parametrize("frame", list(FRAMES))
+@pytest.mark.parametrize("xi,eps", [(0.0, 0.16), (1.0 / 1.31, 0.16), (-0.08, 0.16), (0.3, 2.0), (-0.5, 1.0)])
+def test_doublet_rule_evolves_any_state_below_the_top_photon(frame, xi, eps):
+    """Every bare state below photon n_max has its doublet partner inside the
+    truncation, so the closed-form evolver must match dense propagation on any
+    superposition of them, singletons (rf |g,0>, crf |e,0>) included."""
+    params = ModelParams.from_dimensionless(xi, eps)
+    space = HilbertSpace(12)
+    spec = FRAMES[frame]
+    rng = np.random.default_rng(7)
+    amps0 = (rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)) * (space.photon_numbers() < space.n_max)
+    amps0 /= np.linalg.norm(amps0)
+    grid = np.linspace(0.0, 25.0, 60) / params.g
+    closed = analytic._evolve(params, space, spec.family, amps0, grid)
+    hamiltonian = build_effective(params, space)[spec.hamiltonian]
+    dense = np.array([psi.amps for psi in propagate_series(hamiltonian, StateVector(space, amps0), grid)])
+    assert np.max(np.abs(closed - dense)) <= 1e-12
+    # a state on the top photon whose partner would sit above it does not fit
+    top = np.zeros(space.dim, dtype=np.complex128)
+    top[space.index("e" if frame == "rf" else "g", space.n_max)] = 1.0
+    with pytest.raises(TruncationError):
+        analytic._evolve(params, space, spec.family, top, grid)
 
 
 @pytest.mark.parametrize("frame,params,n", [("rf", FIG_RF, 0), ("crf", FIG_CRF, 5)])

@@ -2,6 +2,7 @@
 its command line, and the figure regeneration, run as a program."""
 
 import argparse
+import csv
 import runpy
 import sys
 from pathlib import Path
@@ -40,6 +41,28 @@ def test_frames_option_offers_the_frame_table(scan, monkeypatch):
     frames = next(action for action in parsers[0]._actions if action.dest == "frames")
     assert frames.choices == list(FRAMES)
     assert frames.default == list(FRAMES)
+
+
+def test_scan_main_prints_and_writes_the_table(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "scan.csv"
+    monkeypatch.setattr(sys, "argv", ["beat_envelope_scan.py", "--photon-numbers", "2", "5", "--out", str(out)])
+    runpy.run_path(str(SCAN), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["frame", "n", "predicted", "measured", "rel_err"]
+    assert [line.split()[:2] for line in lines[1:-1]] == [[frame, n] for frame in FRAMES for n in ("2", "5")]
+    assert lines[-1] == f"wrote {out}"
+    with open(out, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["frame", "n", "predicted", "measured", "rel_err"]
+    assert [row[:2] for row in rows[1:]] == [[frame, n] for frame in FRAMES for n in ("2", "5")]
+
+
+def test_scan_main_rejects_a_photon_number_below_two(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["beat_envelope_scan.py", "--photon-numbers", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCAN), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert "need n >= 2" in capsys.readouterr().err
 
 
 def test_make_figures_writes_the_figure_set(tmp_path, monkeypatch, capsys):
