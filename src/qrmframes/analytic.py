@@ -102,7 +102,11 @@ _OTHER = {"e": "g", "g": "e", "jc": "ajc", "ajc": "jc"}
 
 def _doublet(params: ModelParams, family: str, atom: str, n: int) -> tuple[float, float, float]:
     """(rabi, c, s) of the `family` doublet at |atom, n>, whose photon factor m
-    is the pair's larger photon number; (0, 0, 0) marks a degenerate doublet."""
+    is the pair's larger photon number; (0, 0, 0) marks a degenerate doublet.
+    A bad atom or n raises ValueError naming it."""
+    if atom not in ("g", "e"):
+        raise ValueError(f"atom must be 'g' or 'e', got {atom!r}")
+    _check_n(n)
     m = n + 1 if atom == _RAISED[family] else n
     half_detuning = 0.5 * (params.delta if family == "jc" else params.delta_bar)
     rabi = math.hypot(params.g * math.sqrt(m), half_detuning)
@@ -112,8 +116,6 @@ def _doublet(params: ModelParams, family: str, atom: str, n: int) -> tuple[float
 
 
 def _branch(params: ModelParams, family: str, atom: str, n: int) -> BranchCoeffs:
-    if atom not in ("g", "e"):
-        raise ValueError(f"family atom must be 'g' or 'e', got {atom!r}")
     _check_n(n, "family index")
     rabi, c, s = _doublet(params, family, atom, n)
     if rabi == 0.0:

@@ -3,8 +3,8 @@
 Basis convention: |atom, n> sits at index 2*n + (1 if atom == 'e' else 0),
 with photon numbers 0..n_max, so tightening or relaxing the truncation only
 removes or appends trailing rows and columns. All frequencies are angular
-with hbar = 1; states and operators are plain dense arrays because the
-spaces of interest stay small (tens of photons).
+with hbar = 1. States and operators are dense arrays, formed from an O(d)
+table of banded terms (`_terms`) only where an operator is built.
 """
 
 from __future__ import annotations
@@ -191,33 +191,46 @@ def identity(space: HilbertSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.dim), hermitian=True)
 
 
-def primitive_matrices(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Real ladder and qubit matrices every operator builder starts from.
+def _terms(space: HilbertSpace) -> dict[str, dict[int, np.ndarray]]:
+    """The term table every operator of the model is a weighted sum of, O(d).
 
-    Keys: a, ad (a^dag), ata (a^dag a), sz, sm (s-), sp (s+), eye; ad and
-    sp are transposed views. Entries are set by index in the interleaved
-    basis, so they equal the kron(photon, qubit) construction bit for bit;
-    ata holds sqrt(n)**2, exactly the diagonal of the product ad @ a.
+    Each term is held as its nonzero diagonals {offset k: entries (i, i + k)},
+    all on the offsets 0, +-1, +-2 and +-3; `_dense` gives its matrix, equal
+    bit for bit to the kron/matmul construction. Keys: a, ad (a^dag), ata
+    (a^dag a, held as sqrt(n)**2 like the product ad @ a), eye, sz, sm (s-),
+    sp (s+); the projectors sp_sm (s+ s-) and sm_sp (s- s+); a_ad, the
+    algebraic a^dag a + 1; the conserved numbers n_jc and n_ajc; the
+    interaction half-products a_sp, ad_sm, a_sm, ad_sp and their sums
+    jc = a s+ + a^dag s- and ajc = a s- + a^dag s+.
     """
-    d = space.dim
-    idx = np.arange(d)
-    root = np.sqrt(space.photon_numbers()[2:].astype(float))
-    a = np.zeros((d, d))
-    a[idx[:-2], idx[2:]] = root
-    ata = np.zeros((d, d))
-    ata[idx[2:], idx[2:]] = root * root
-    sz = np.diag(np.where(space.excited_mask(), 0.5, -0.5))
-    sm = np.zeros((d, d))
-    sm[idx[0::2], idx[1::2]] = 1.0
+    n, excited = space.photon_numbers().astype(float), space.excited_mask()
+    root, sp_sm, sm_sp = np.sqrt(n), excited.astype(float), (~excited).astype(float)
+    ata = root**2
+    # sqrt(n + 1) couples |e, n> to |g, n + 1> (offset 1) and |g, n> to |e, n + 1> (offset 3)
+    jc, ajc = np.where(excited, np.sqrt(n + 1.0), 0.0)[:-1], np.where(excited, 0.0, np.sqrt(n + 1.0))[:-3]
     return {
-        "a": a,
-        "ad": a.T,
-        "ata": ata,
-        "sz": sz,
-        "sm": sm,
-        "sp": sm.T,
-        "eye": np.eye(d),
+        "a": {2: root[2:]}, "ad": {-2: root[2:]}, "ata": {0: ata}, "eye": {0: np.ones(space.dim)},
+        "sz": {0: np.where(excited, 0.5, -0.5)}, "sm": {1: sm_sp[:-1]}, "sp": {-1: sm_sp[:-1]},
+        "sp_sm": {0: sp_sm}, "sm_sp": {0: sm_sp}, "a_ad": {0: ata + 1.0}, "n_jc": {0: ata + sp_sm},
+        "n_ajc": {0: (ata + 1.0) + sm_sp}, "a_sp": {1: jc}, "ad_sm": {-1: jc}, "a_sm": {3: ajc}, "ad_sp": {-3: ajc},
+        "jc": {1: jc, -1: jc}, "ajc": {3: ajc, -3: ajc},
     }
+
+
+def _dense(space: HilbertSpace, bands: dict[int, np.ndarray]) -> np.ndarray:
+    """The d x d matrix holding each {offset: vector} band on its diagonal, zero elsewhere."""
+    matrix = np.zeros((space.dim, space.dim))
+    for k, vector in bands.items():
+        i = np.arange(max(space.dim - abs(k), 0))
+        matrix[i + max(-k, 0), i + max(k, 0)] = vector
+    return matrix
+
+
+def primitive_matrices(space: HilbertSpace) -> dict[str, np.ndarray]:
+    """Real ladder and qubit matrices: the `_terms` keys a, ad, ata, sz, sm,
+    sp and eye, each equal to its kron(photon, qubit) construction bit for bit."""
+    t = _terms(space)
+    return {key: _dense(space, t[key]) for key in ("a", "ad", "ata", "sz", "sm", "sp", "eye")}
 
 
 def fock_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:

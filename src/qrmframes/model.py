@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, OperatorMatrix, primitive_matrices
+from .hilbert import HilbertSpace, OperatorMatrix, _dense, _terms
 
 __all__ = [
     "ModelParams",
@@ -87,34 +87,29 @@ class ModelParams:
         return cls(omega=omega, omega0=delta + omega, g=g)
 
 
-def _terms(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """The JC/AJC term table every operator below is a weighted sum of.
+# each built operator as a weighted sum of the terms t, read at one offset
+_FORMULAS = {
+    "rabi": lambda p, t: p.omega * (t["ata"] + 0.5 * t["eye"]) + p.omega0 * t["sz"] + p.g * (t["jc"] + t["ajc"]),
+    "rot": lambda p, t: p.omega * t["n_jc"] + p.delta * t["sz"] + 2.0 * p.g * t["jc"] - 0.5 * p.omega * t["eye"],
+    "counter": lambda p, t: p.omega * t["n_ajc"] + p.delta_bar * t["sz"] + 2.0 * p.g * t["ajc"] - 0.5 * p.omega * t["eye"],
+    "rf": lambda p, t: p.omega * t["n_jc"] + p.delta * t["sz"] + p.g * t["jc"],
+    "crf": lambda p, t: p.omega * (t["n_ajc"] - t["eye"]) + p.delta_bar * t["sz"] + p.g * t["ajc"],
+    "t_jc": lambda p, t: p.delta * t["sz"] + p.g * t["jc"],
+    "t_ajc": lambda p, t: p.delta_bar * t["sz"] + p.g * t["ajc"],
+}
 
-    The `primitive_matrices` keys, plus: the qubit projectors sp_sm (s+ s-)
-    and sm_sp (s- s+); a_ad, the algebraic a^dag a + 1; the conserved
-    numbers n_jc and n_ajc; the four interaction half-products a_sp, ad_sm,
-    a_sm, ad_sp; and their sums jc = a s+ + a^dag s- and ajc = a s- + a^dag s+.
-    Every product has at most one nonzero term per entry, so it and every
-    sum of them is exact.
-    """
-    t = primitive_matrices(space)
-    t["sp_sm"] = t["sp"] @ t["sm"]
-    t["sm_sp"] = t["sm"] @ t["sp"]
-    t["a_ad"] = t["ata"] + t["eye"]
-    t["n_jc"] = t["ata"] + t["sp_sm"]
-    t["n_ajc"] = t["a_ad"] + t["sm_sp"]
-    for ladder, qubit in (("a", "sp"), ("ad", "sm"), ("a", "sm"), ("ad", "sp")):
-        t[f"{ladder}_{qubit}"] = t[ladder] @ t[qubit]
-    t["jc"] = t["a_sp"] + t["ad_sm"]
-    t["ajc"] = t["a_sm"] + t["ad_sp"]
-    return t
+
+def _operators(params: ModelParams, space: HilbertSpace, terms, *names: str) -> tuple[OperatorMatrix, ...]:
+    """Hermiticity-checked `_FORMULAS` operators, evaluated offset by offset on the term table; a term without
+    a band at an offset reads 0.0 there, so every entry goes through the same arithmetic as on dense terms."""
+    at = {k: {key: term.get(k, 0.0) for key, term in terms.items()} for k in set().union(*terms.values())}
+    bands = ({k: _FORMULAS[name](params, t) for k, t in at.items()} for name in names)
+    return tuple(OperatorMatrix(space, _dense(space, b), hermitian=True) for b in bands)
 
 
 def build_rabi(params: ModelParams, space: HilbertSpace) -> OperatorMatrix:
     """Full Rabi Hamiltonian omega(a^dag a + 1/2) + omega0 s_z + g(a + a^dag)(s- + s+)."""
-    t = _terms(space)
-    entries = params.omega * (t["ata"] + 0.5 * t["eye"]) + params.omega0 * t["sz"] + params.g * (t["jc"] + t["ajc"])
-    return OperatorMatrix(space, entries, hermitian=True)
+    return _operators(params, space, _terms(space), "rabi")[0]
 
 
 def build_number_ops(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -124,7 +119,7 @@ def build_number_ops(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatri
     truncation-exact form; the two differ by 2 s- s+ entrywise.
     """
     t = _terms(space)
-    return OperatorMatrix(space, t["n_jc"], hermitian=True), OperatorMatrix(space, t["n_ajc"], hermitian=True)
+    return tuple(OperatorMatrix(space, _dense(space, t[key]), hermitian=True) for key in ("n_jc", "n_ajc"))
 
 
 def build_components(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -133,11 +128,7 @@ def build_components(params: ModelParams, space: HilbertSpace) -> tuple[Operator
     Each component doubles its own interaction term and subtracts omega/2,
     so that (H_rot + H_counter) / 2 reproduces `build_rabi` entrywise.
     """
-    t = _terms(space)
-    shift = 0.5 * params.omega * t["eye"]
-    h_rot = params.omega * t["n_jc"] + params.delta * t["sz"] + 2.0 * params.g * t["jc"] - shift
-    h_counter = params.omega * t["n_ajc"] + params.delta_bar * t["sz"] + 2.0 * params.g * t["ajc"] - shift
-    return OperatorMatrix(space, h_rot, hermitian=True), OperatorMatrix(space, h_counter, hermitian=True)
+    return _operators(params, space, _terms(space), "rot", "counter")
 
 
 def build_effective(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -146,10 +137,7 @@ def build_effective(params: ModelParams, space: HilbertSpace) -> tuple[OperatorM
     Rotating frame: omega N + delta s_z + g(a s+ + a^dag s-).
     Counter-rotating frame: omega (N_bar - 1) + delta_bar s_z + g(a s- + a^dag s+).
     """
-    t = _terms(space)
-    h_rf = params.omega * t["n_jc"] + params.delta * t["sz"] + params.g * t["jc"]
-    h_crf = params.omega * (t["n_ajc"] - t["eye"]) + params.delta_bar * t["sz"] + params.g * t["ajc"]
-    return OperatorMatrix(space, h_rf, hermitian=True), OperatorMatrix(space, h_crf, hermitian=True)
+    return _operators(params, space, _terms(space), "rf", "crf")
 
 
 def build_transition_ops(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -159,10 +147,7 @@ def build_transition_ops(params: ModelParams, space: HilbertSpace) -> tuple[Oper
     on the interior block. Counter-rotating: delta_bar s_z + g(a s- + a^dag s+),
     squaring to delta_bar^2/4 + g^2 (N_bar - 1) there.
     """
-    t = _terms(space)
-    t_jc = params.delta * t["sz"] + params.g * t["jc"]
-    t_ajc = params.delta_bar * t["sz"] + params.g * t["ajc"]
-    return OperatorMatrix(space, t_jc, hermitian=True), OperatorMatrix(space, t_ajc, hermitian=True)
+    return _operators(params, space, _terms(space), "t_jc", "t_ajc")
 
 
 def build_parity(space: HilbertSpace, k: int) -> OperatorMatrix:
@@ -188,16 +173,15 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
     symmetrically for exp(-i omega t N_bar). t is a time or an array of
     times; returns the worst max-abs entrywise deviation over both frames
     and all times, zero up to roundoff for any t and 0.0 for no times. The
-    operators are built once; the times are visited one by one so memory
-    stays O(d^2).
+    term table is formed and the operators are built once; the times are
+    visited one by one so memory stays O(d^2).
     """
     terms = _terms(space)
-    h_rabi = build_rabi(params, space).entries
-    h_rf, h_crf = (op.entries for op in build_effective(params, space))
+    h_rabi, h_rf, h_crf = (op.entries for op in _operators(params, space, terms, "rabi", "rf", "crf"))
     w, g = params.omega, params.g
     splits = (
-        (np.diag(terms["n_jc"]), h_rf, terms["a_sm"], terms["ad_sp"]),
-        (np.diag(terms["n_ajc"]), h_crf, terms["a_sp"], terms["ad_sm"]),
+        (terms["n_jc"][0], h_rf, _dense(space, terms["a_sm"]), _dense(space, terms["ad_sp"])),
+        (terms["n_ajc"][0], h_crf, _dense(space, terms["a_sp"]), _dense(space, terms["ad_sm"])),
     )
     devs = []
     for tk in np.reshape(np.asarray(t, dtype=float), -1):

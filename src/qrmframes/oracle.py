@@ -18,10 +18,12 @@ from .hilbert import (
     HilbertSpace,
     OperatorMatrix,
     StateVector,
+    _dense,
     _propagate,
+    _terms,
     commutator,
 )
-from .model import ModelParams, _terms, build_effective
+from .model import ModelParams, _operators
 from . import analytic
 
 __all__ = [
@@ -89,37 +91,39 @@ def propagate_series(
     return [StateVector(psi0.space, row) for row in _trajectory(hamiltonian, psi0, grid)]
 
 
+_OBSERVABLE_TERMS = {"s_z": "sz", "sp_sm": "sp_sm", "sm_sp": "sm_sp", "ad_a": "ata", "a_ad": "a_ad", "n_jc": "n_jc", "n_ajc": "n_ajc"}
+
+
 def standard_observables(space: HilbertSpace) -> dict[str, OperatorMatrix]:
     """The raw operator set used for cross-checks, read from the model's term table.
 
     a_ad is the algebraic a^dag a + 1, exact under truncation for any state
     with support below the top photon level; the number operators are the
-    model's own for the same reason.
+    model's own for the same reason. All seven are diagonal: the oracle reads them off the table.
     """
     t = _terms(space)
-    keys = {"s_z": "sz", "sp_sm": "sp_sm", "sm_sp": "sm_sp", "ad_a": "ata", "a_ad": "a_ad", "n_jc": "n_jc", "n_ajc": "n_ajc"}
-    return {name: OperatorMatrix(space, t[key], hermitian=True) for name, key in keys.items()}
+    return {name: OperatorMatrix(space, _dense(space, t[key]), hermitian=True) for name, key in _OBSERVABLE_TERMS.items()}
 
 
-def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix]) -> dict[str, np.ndarray]:
+def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray]) -> dict[str, np.ndarray]:
     """Expectation value of every named operator on every row of a (T, d) array.
 
-    An operator whose entries are exactly diagonal scales each row by its
-    diagonal, O(T d); any operator with an off-diagonal entry is applied to
-    the whole stack in one dense matrix product, O(T d^2) in BLAS. Both
-    images go through the same row-wise reduction against the bras, formed
-    once per trajectory, so the diagonal path keeps the dense path's
-    rounding. On both paths an imaginary residue above 1e-12 raises
+    An operator given as a real vector is a diagonal and scales each row,
+    O(T d); so does an OperatorMatrix whose entries are exactly diagonal.
+    An OperatorMatrix with an off-diagonal entry is applied to the whole
+    stack in one dense matrix product, O(T d^2) in BLAS. Every image goes
+    through the same row-wise reduction against the bras, formed once per
+    trajectory, so the diagonal path keeps the dense path's rounding. On
+    every path an imaginary residue above 1e-12 raises
     NumericConsistencyError.
     """
     bra = amps.conj()
     out = {}
     for name, op in ops.items():
-        entries = op.entries
-        d = entries.shape[0]
-        # the flattened matrix holds exactly its off-diagonal entries
-        # between consecutive diagonal ones
-        if entries.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any():
+        if isinstance(op, np.ndarray):
+            image = amps * op
+        elif (entries := op.entries).reshape(-1)[:-1].reshape(-1, entries.shape[0] + 1)[:, 1:].any():
+            # the flat matrix holds the off-diagonal entries between consecutive diagonal ones
             image = amps @ entries.T
         else:
             image = amps * np.diagonal(entries)
@@ -138,9 +142,9 @@ def observable_series(
 ) -> dict[str, np.ndarray]:
     """Expectation value of every named operator on every state.
 
-    The states are stacked into one (T, d) array. A diagonal operator (all
-    of `standard_observables`) scales that stack by its diagonal, O(T d);
-    any other operator costs one dense matrix product, O(T d^2) in BLAS.
+    The states are stacked into one (T, d) array. An operator with exactly
+    diagonal entries (all of `standard_observables`) scales it by the diagonal,
+    O(T d); any other costs one dense matrix product, O(T d^2) in BLAS.
     """
     if not states:
         return {name: np.array([]) for name in ops}
@@ -169,7 +173,8 @@ def compare_scenario(
         n_max = n + 20
     space = HilbertSpace(n_max)
     grid = np.asarray(grid, dtype=float)
-    hamiltonian = build_effective(params, space)[spec.hamiltonian]
+    terms = _terms(space)
+    (hamiltonian,) = _operators(params, space, terms, frame)
     psi0 = analytic.initial_state(params, space, frame, n)
 
     analytic_amps = analytic.evolve_series(params, space, frame, n, grid)
@@ -177,7 +182,7 @@ def compare_scenario(
     numeric_amps.setflags(write=False)
     state_dev = float(np.max(np.abs(analytic_amps - numeric_amps), initial=0.0))
 
-    raw = _expectations(numeric_amps, standard_observables(space))
+    raw = _expectations(numeric_amps, {name: terms[key][0] for name, key in _OBSERVABLE_TERMS.items()})
     predicted = analytic.observables(params, frame, n, grid).as_dict()
     obs_dev = {
         column: float(np.max(np.abs(np.broadcast_to(predicted[column], grid.shape) - raw[raw_name]), initial=0.0))

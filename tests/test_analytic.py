@@ -100,6 +100,19 @@ class TestBranchCoefficients:
         with pytest.raises(ValueError):
             ajc_branch(FIG_RF, "e", -1)
 
+    @pytest.mark.parametrize("frame", ["rf", "crf"])
+    def test_frame_doublet_rejects_an_unknown_atom_by_name(self, frame):
+        for method in (analytic.FRAMES[frame].doublet, analytic.FRAMES[frame].dressing):
+            with pytest.raises(ValueError, match="^atom must be 'g' or 'e', got 'x'"):
+                method(FIG_RF, "x", 3)
+
+    @pytest.mark.parametrize("frame", ["rf", "crf"])
+    @pytest.mark.parametrize("atom", ["e", "g"])
+    @pytest.mark.parametrize("n", [-1, 2.0, True])
+    def test_frame_doublet_rejects_a_bad_photon_number_by_name(self, frame, atom, n):
+        with pytest.raises(ValueError, match=f"^n must be a non-negative integer, got {n!r}"):
+            analytic.FRAMES[frame].doublet(FIG_RF, atom, n)
+
     @pytest.mark.parametrize("maker", [jc_branch, ajc_branch])
     def test_rejects_a_bool_index_by_name(self, maker):
         with pytest.raises(ValueError, match="^family index must be a non-negative integer, got True"):

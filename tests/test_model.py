@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrmframes import (
@@ -19,7 +21,7 @@ from qrmframes import (
     qubit_operators,
     standard_observables,
 )
-from qrmframes.hilbert import primitive_matrices
+from qrmframes.hilbert import _dense, _terms, primitive_matrices
 from qrmframes.oracle import interior_commutator_norm
 
 FIG_RF = ModelParams.from_dimensionless(0.0, 0.16)
@@ -324,6 +326,18 @@ def _reference_operators(params, space):
     }
 
 
+def _built_operators(params, space):
+    """Every builder's output and the raw observable set, keyed like `_reference_operators`."""
+    return {
+        "rabi": [build_rabi(params, space)],
+        "number": list(build_number_ops(space)),
+        "components": list(build_components(params, space)),
+        "effective": list(build_effective(params, space)),
+        "transition": list(build_transition_ops(params, space)),
+        "observables": list(standard_observables(space).values()),
+    }
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40])
 @pytest.mark.parametrize(
     "params",
@@ -336,14 +350,7 @@ def _reference_operators(params, space):
 )
 def test_builders_equal_the_term_by_term_reference(params, n_max):
     space = HilbertSpace(n_max)
-    built = {
-        "rabi": [build_rabi(params, space)],
-        "number": list(build_number_ops(space)),
-        "components": list(build_components(params, space)),
-        "effective": list(build_effective(params, space)),
-        "transition": list(build_transition_ops(params, space)),
-        "observables": list(standard_observables(space).values()),
-    }
+    built = _built_operators(params, space)
     reference = _reference_operators(params, space)
     assert built.keys() == reference.keys()
     for kind, ops in built.items():
@@ -352,3 +359,57 @@ def test_builders_equal_the_term_by_term_reference(params, n_max):
             assert op.hermitian, kind
             assert np.array_equal(op.entries, expected), kind
     assert list(standard_observables(space)) == ["s_z", "sp_sm", "sm_sp", "ad_a", "a_ad", "n_jc", "n_ajc"]
+
+
+def _reference_terms(space):
+    """The term table written out from the kron primitives, each product by its own matmul."""
+    p = _kron_primitives(space)
+    a_ad = p["ata"] + p["eye"]
+    sp_sm, sm_sp = p["sp"] @ p["sm"], p["sm"] @ p["sp"]
+    a_sp, ad_sm, a_sm, ad_sp = p["a"] @ p["sp"], p["ad"] @ p["sm"], p["a"] @ p["sm"], p["ad"] @ p["sp"]
+    return {
+        **p, "sp_sm": sp_sm, "sm_sp": sm_sp, "a_ad": a_ad,
+        "n_jc": p["ata"] + sp_sm, "n_ajc": a_ad + sm_sp, "a_sp": a_sp, "ad_sm": ad_sm, "a_sm": a_sm,
+        "ad_sp": ad_sp, "jc": a_sp + ad_sm, "ajc": a_sm + ad_sp,
+    }
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40])
+def test_term_table_is_banded_and_densifies_to_the_kron_construction(n_max):
+    space = HilbertSpace(n_max)
+    table = _terms(space)
+    reference = _reference_terms(space)
+    assert table.keys() == reference.keys()
+    for name, bands in table.items():
+        assert set(bands) <= {0, 1, -1, 2, -2, 3, -3}, name
+        for k, vector in bands.items():
+            assert vector.dtype == np.float64 and vector.shape == (max(space.dim - abs(k), 0),), name
+        dense = _dense(space, bands)
+        assert dense.dtype == np.float64
+        assert np.array_equal(dense, reference[name]), name
+
+
+def test_term_table_is_linear_in_the_dimension():
+    space = HilbertSpace(1000)
+    total = sum(vector.nbytes for bands in _terms(space).values() for vector in bands.values())
+    assert total < 64 * space.dim * 8
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    log_eps=st.floats(min_value=-3.0, max_value=8.0),
+    lift=st.floats(min_value=0.0, max_value=3.0),
+    g=st.floats(min_value=0.1, max_value=10.0),
+    n_max=st.integers(min_value=0, max_value=60),
+)
+def test_builders_equal_the_reference_over_the_domain(log_eps, lift, g, n_max):
+    # xi = -eps/2 + lift * eps reaches down to the omega0 = 0 edge at lift = 0
+    eps = 10.0**log_eps
+    params = ModelParams.from_dimensionless(-0.5 * eps + lift * eps, eps, g=g)
+    space = HilbertSpace(n_max)
+    built = _built_operators(params, space)
+    reference = _reference_operators(params, space)
+    for kind, ops in built.items():
+        for op, expected in zip(ops, reference[kind], strict=True):
+            assert op.hermitian, kind
+            assert np.array_equal(op.entries, expected), kind

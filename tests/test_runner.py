@@ -730,6 +730,22 @@ class TestVerifySuite:
         # eigenstate checks; the builders and the oracle read the term table
         assert calls == [20, 20, 50, 50]
 
+    def test_operator_objects_per_default_run(self, monkeypatch):
+        built = []
+        real_init = model.OperatorMatrix.__post_init__
+
+        def counting_init(op):
+            built.append(op.space.dim)
+            real_init(op)
+
+        monkeypatch.setattr(model.OperatorMatrix, "__post_init__", counting_init)
+        assert verify_suite().passed
+        # per parameter set: 9 built operators, 3 parities, 9 interior
+        # commutators and 3 in the conjugation check; then one Hamiltonian
+        # per compared scenario (16) and 4 per eigenstate check (8). The
+        # compared observables are read as diagonals from the term table.
+        assert len(built) == 72
+
     def test_nonzero_pattern_checks_keep_their_floor(self):
         report = verify_suite(tol=1e-15)
         floors = [c for c in report.checks if c.mode == "min>"]
