@@ -10,13 +10,14 @@ table of banded terms (`_terms`) only where an operator is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import HermiticityError, NumericConsistencyError, TruncationError
 
 HERMITICITY_TOL = 1e-13
+_HERMITICITY_BLOCK = 256  # rows per step of the construction-time Hermiticity check
 IMAG_TOL = 1e-12
 NORM_TOL = 1e-10
 
@@ -124,8 +125,11 @@ class OperatorMatrix:
         d = self.space.dim
         if entries.shape != (d, d):
             raise ValueError(f"expected {d}x{d} entries, got shape {entries.shape}")
-        if self.hermitian:
-            dev = float(np.max(np.abs(entries - entries.conj().T)))
+        if self.hermitian:  # row blocks bound the check's temporaries to _HERMITICITY_BLOCK x d
+            dev = float(reduce(np.maximum, (
+                np.max(np.abs(entries[i:i + _HERMITICITY_BLOCK] - entries[:, i:i + _HERMITICITY_BLOCK].conj().T))
+                for i in range(0, d, _HERMITICITY_BLOCK)
+            )))
             if dev > HERMITICITY_TOL:
                 raise HermiticityError(
                     f"hermitian tag violated, max entrywise deviation {dev:.3e}"

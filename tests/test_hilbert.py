@@ -156,6 +156,16 @@ def test_hermitian_tag_enforced_at_construction():
     assert op.hermitian
 
 
+def test_hermiticity_check_reaches_the_last_row_block():
+    space = HilbertSpace(150)  # d = 302: row blocks 0..255 and 256..301
+    entries = np.eye(space.dim)
+    entries[300, 290] = 3e-13  # its mirror (290, 300) sits in the last block too
+    with pytest.raises(HermiticityError, match="max entrywise deviation 3.000e-13"):
+        OperatorMatrix(space, entries, hermitian=True)
+    entries[300, 290] = 5e-14
+    assert OperatorMatrix(space, entries, hermitian=True).hermitian
+
+
 def test_hermitian_tag_propagation():
     space = HilbertSpace(1)
     s_z, s_minus, _ = qubit_operators(space)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrmframes import (
@@ -323,6 +325,83 @@ class TestEmissionMatchesScalarReference:
             assert_svg_points_match(emit_svg(bundle, column, tmp_path / "run.svg"), bundle, column)
 
 
+def points_reference(values):
+    return " ".join(["%.2f,%.2f"] * (len(values) // 2)) % tuple(values)
+
+
+def near_tie(k, j):
+    """The float j ulps from (k + 0.5) / 100: a near-tie for %.2f."""
+    value = (k + 0.5) / 100
+    for _ in range(abs(j)):
+        value = math.nextafter(value, math.copysign(math.inf, j))
+    return value
+
+
+in_plot = st.one_of(
+    st.floats(min_value=10.0, max_value=1000.0, exclude_max=True),
+    st.integers(0, 2**53 - 1).map(lambda i: 10.0 + 990.0 * (i / 2**53)),  # uniform
+)
+near_ties = st.builds(near_tie, st.integers(1000, 99_999), st.integers(-500, 500))
+outside = st.one_of(
+    st.floats(max_value=10.0, exclude_max=True, allow_nan=False),
+    st.floats(min_value=1000.0),
+    st.sampled_from([-0.0, 0.0, -1.5, 9.995, 999.995, 999.99, 1000.0, math.nan, math.inf, -math.inf]),
+)
+
+
+class TestSvgPoints:
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.one_of(in_plot, near_ties), min_size=1, max_size=40).map(lambda v: v + v[:len(v) % 2]))
+    def test_plot_range_and_near_ties(self, values):
+        assert runner._svg_points(np.array(values, dtype=np.float64)) == points_reference(values)
+
+    @pytest.mark.parametrize("offset", [0.25, 0.75])
+    def test_every_cent_of_the_plot_range(self, offset):
+        values = (np.arange(1000, 99_998) + offset) / 100  # every cent from 10.00 to 999.98
+        assert runner._svg_points(values) == points_reference(values.tolist())
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(in_plot, min_size=2, max_size=40), st.data())
+    def test_one_value_outside_the_fast_domain(self, values, data):
+        values = values + values[:len(values) % 2]
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(outside)
+        assert runner._svg_points(np.array(values, dtype=np.float64)) == points_reference(values)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.one_of(outside, st.floats()), min_size=1, max_size=20).map(lambda v: v + v[:len(v) % 2]))
+    def test_any_float(self, values):
+        assert runner._svg_points(np.array(values, dtype=np.float64)) == points_reference(values)
+
+
+def bundle_with(tau, **series):
+    """A bundle of varying columns on the grid tau, with the given columns replaced."""
+    columns = {name: np.sin(tau * (k + 1)) / 3 for k, name in enumerate(COLUMNS)}
+    columns.update(series)
+    return TimeSeriesBundle(config=ExperimentConfig(frame="rf"), tau=tau, series=columns)
+
+
+class TestCsvFlatColumns:
+    @pytest.mark.parametrize("rows", [3, CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("columns,expected", [
+        (lambda rows: {"n_jc": np.full(rows, -0.0)}, b",0,"),
+        (lambda rows: {"photon": np.full(rows, 1e-300)}, b",1e-300,"),
+        (lambda rows: {"n_ajc": np.append(np.full(rows - 1, 2.0), 2.5)}, b",2.5\n"),
+        (lambda rows: {"n_jc": np.full(rows, 1.0), "s_z": np.full(rows, -0.5)}, b"\n0,-0.5,"),
+    ], ids=["minus-zero", "tiny", "flat-but-last", "two-flat"])
+    def test_matches_the_scalar_reference(self, tmp_path, rows, columns, expected):
+        bundle = bundle_with(np.linspace(0.0, 7.0, rows), **columns(rows))
+        text = emit_csv(bundle, tmp_path / "flat.csv").read_bytes()
+        assert text == csv_reference(bundle)
+        assert expected in text
+
+    @pytest.mark.parametrize("rows", [1, 2 * CSV_BLOCK_ROWS + 1])
+    def test_all_columns_flat(self, tmp_path, rows):
+        bundle = bundle_with(np.full(rows, 3.0), **{name: np.full(rows, -0.25 * k) for k, name in enumerate(COLUMNS)})
+        text = emit_csv(bundle, tmp_path / "flat.csv").read_bytes()
+        assert text == csv_reference(bundle)
+        assert text.endswith(b"\n3,0,-0.25,-0.5,-0.75,-1\n")
+
+
 class _FailingWriter:
     """Wraps a text file; the write after the first `allowed` ones raises."""
 
@@ -481,6 +560,20 @@ class TestSvg:
             finally:
                 tracemalloc.stop()
         assert peaks["svg"] < peaks["csv"]
+
+    def test_emission_peaks_do_not_grow_with_length(self, tmp_path):
+        bundles = [run_experiment(ExperimentConfig(frame="crf", n=40, xi=1.0 / 1.31, steps=blocks * CSV_BLOCK_ROWS))
+                   for blocks in (2, 6)]
+        for emit in (lambda b: emit_csv(b, tmp_path / "run.csv"), lambda b: emit_svg(b, "photon", tmp_path / "run.svg")):
+            peaks = []
+            for bundle in bundles:
+                tracemalloc.start()
+                try:
+                    emit(bundle)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 1.25 * peaks[0]
 
     def test_failure_mid_polyline_removes_the_file(self, tmp_path, monkeypatch):
         bundle = edge_bundle(2 * CSV_BLOCK_ROWS + 1)
