@@ -130,7 +130,7 @@ class OperatorMatrix:
                 np.max(np.abs(entries[i:i + _HERMITICITY_BLOCK] - entries[:, i:i + _HERMITICITY_BLOCK].conj().T))
                 for i in range(0, d, _HERMITICITY_BLOCK)
             )))
-            if dev > HERMITICITY_TOL:
+            if not dev <= HERMITICITY_TOL:  # a NaN deviation fails too
                 raise HermiticityError(
                     f"hermitian tag violated, max entrywise deviation {dev:.3e}"
                 )

@@ -173,9 +173,10 @@ def compare_scenario(
         n_max = n + 20
     space = HilbertSpace(n_max)
     grid = np.asarray(grid, dtype=float)
+    psi0 = analytic.initial_state(params, space, frame, n)
+    analytic._evolution_spec(space, frame, n)  # both truncation guards raise before anything is built
     terms = _terms(space)
     (hamiltonian,) = _operators(params, space, terms, frame)
-    psi0 = analytic.initial_state(params, space, frame, n)
 
     analytic_amps = analytic.evolve_series(params, space, frame, n, grid)
     numeric_amps = _trajectory(hamiltonian, psi0, grid)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
-from functools import partial
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -523,179 +524,161 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyReport:
-    """Run every module invariant and return the per-check report.
+def _parity_deviation(space: HilbertSpace, hamiltonians) -> float:
+    """Worst entry of Pi_k - (-1)^(k n_bar), Pi_k^dag H Pi_k - H and, for even k, Pi_k^2 - 1, over k = 1, 2, 3."""
+    n_bar = space.photon_numbers() + np.where(space.excited_mask(), 1, 2)
+    devs = []
+    for k in (1, 2, 3):
+        pi_k = build_parity(space, k).entries
+        devs += [pi_k - np.diag(np.where((k * n_bar) % 2 == 0, 1.0, -1.0))] + [pi_k.conj().T @ h @ pi_k - h for h in hamiltonians]
+        if k % 2 == 0:
+            devs.append(pi_k @ pi_k - np.eye(space.dim))
+    return max(float(np.max(np.abs(dev))) for dev in devs)
 
-    tol, when given, replaces the default upper bound of every deviation
-    check (lower-bound pattern checks keep their thresholds). n_max, when
-    given, forces the photon truncation everywhere, including scenarios
-    that then no longer fit; those surface as failed checks rather than
-    exceptions. A tol that is not a finite number > 0, or an n_max below
-    2, raises ConfigError.
-    """
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ConfigError("tol", f"must be a finite number > 0, got {tol!r}")
-    if n_max is not None and (not isinstance(n_max, (int, np.integer)) or n_max < 2):
-        raise ConfigError("n_max", f"must be an integer >= 2, got {n_max!r}")
-    start = time.perf_counter()
-    checks: list[CheckResult] = []
 
-    def bounded(name: str, value: float, default_bound: float, note: str = "") -> None:
-        bound = default_bound if tol is None else tol
-        checks.append(CheckResult(name, float(value), bound, "max<=", float(value) <= bound, note))
-
-    def exceeds(name: str, value: float, floor: float) -> None:
-        checks.append(CheckResult(name, float(value), floor, "min>", float(value) > floor))
-
-    def failed(name: str, note: str) -> None:
-        checks.append(CheckResult(name, float("inf"), 0.0, "max<=", False, note))
-
-    param_sets = {
-        f"{frame}-params": ModelParams.from_dimensionless(xi, FIGURE_EPSILON)
-        for frame, xi in FIGURE_XI.items()
-    }
-    nm_alg = 20 if n_max is None else n_max
-    space = HilbertSpace(nm_alg)
-    keep = max(nm_alg - 2, 0)
-    rng = np.random.default_rng(1234567)
-
+def _algebra_checks(param_sets, n_max, rng):
+    """Operator identities of each parameter set, at n_max = 20 unless forced."""
+    nm = 20 if n_max is None else n_max
+    space = HilbertSpace(nm)
+    keep, eye = max(nm - 2, 0), np.eye(space.dim)
+    mask = interior_projector(space, keep)
+    interior = np.ix_(mask, mask)
     for tag, params in param_sets.items():
         h_rabi = build_rabi(params, space)
         h_rot, h_counter = build_components(params, space)
         h_rf, h_crf = build_effective(params, space)
         n_jc, n_ajc = build_number_ops(space)
         t_jc, t_ajc = build_transition_ops(params, space)
-
-        herm_dev = max(
-            float(np.max(np.abs(op.entries - op.entries.conj().T)))
+        yield f"hermiticity {tag}", "max<=", 1e-13, lambda: max(
+            np.max(np.abs(op.entries - op.entries.conj().T))
             for op in (h_rabi, h_rot, h_counter, h_rf, h_crf, n_jc, n_ajc, t_jc, t_ajc)
         )
-        bounded(f"hermiticity {tag}", herm_dev, 1e-13)
-        bounded(
-            f"component mean {tag}",
-            float(np.max(np.abs(h_rabi.entries - 0.5 * (h_rot.entries + h_counter.entries)))),
-            1e-13,
+        yield f"component mean {tag}", "max<=", 1e-13, lambda: np.max(
+            np.abs(h_rabi.entries - 0.5 * (h_rot.entries + h_counter.entries))
         )
-        for label, a, b in (
-            ("[n_jc, h_rf]", n_jc, h_rf),
-            ("[n_ajc, h_crf]", n_ajc, h_crf),
-            ("[n_jc, n_ajc]", n_jc, n_ajc),
-            ("[n_jc, h_rot]", n_jc, h_rot),
-            ("[n_ajc, h_counter]", n_ajc, h_counter),
-        ):
-            bounded(f"zero commutator {label} {tag}", interior_commutator_norm(a, b, keep), 1e-13)
-        for label, a, b in (
-            ("[n_jc, h_crf]", n_jc, h_crf),
-            ("[n_ajc, h_rf]", n_ajc, h_rf),
-            ("[h_rf, h_crf]", h_rf, h_crf),
-            ("[h_rot, h_counter]", h_rot, h_counter),
-        ):
-            exceeds(f"nonzero commutator {label} {tag}", interior_commutator_norm(a, b, keep), 0.01)
-
-        mask = interior_projector(space, keep)
-        eye = np.eye(space.dim)
+        for label, a, b in (("[n_jc, h_rf]", n_jc, h_rf), ("[n_ajc, h_crf]", n_ajc, h_crf), ("[n_jc, n_ajc]", n_jc, n_ajc),
+                            ("[n_jc, h_rot]", n_jc, h_rot), ("[n_ajc, h_counter]", n_ajc, h_counter)):
+            yield f"zero commutator {label} {tag}", "max<=", 1e-13, lambda: interior_commutator_norm(a, b, keep)
+        for label, a, b in (("[n_jc, h_crf]", n_jc, h_crf), ("[n_ajc, h_rf]", n_ajc, h_rf), ("[h_rf, h_crf]", h_rf, h_crf),
+                            ("[h_rot, h_counter]", h_rot, h_counter)):
+            yield f"nonzero commutator {label} {tag}", "min>", 0.01, lambda: interior_commutator_norm(a, b, keep)
         for label, t_op, square in (
             ("rotating", t_jc, 0.25 * params.delta**2 * eye + params.g**2 * n_jc.entries),
             ("counter", t_ajc, 0.25 * params.delta_bar**2 * eye + params.g**2 * (n_ajc.entries - eye)),
         ):
-            dev = t_op.entries @ t_op.entries - square
-            bounded(f"transition square {label} {tag}", float(np.max(np.abs(dev[np.ix_(mask, mask)]))), 1e-12)
+            yield f"transition square {label} {tag}", "max<=", 1e-12, lambda: np.max(
+                np.abs((t_op.entries @ t_op.entries - square)[interior])
+            )
+        hamiltonians = (h_rot.entries, h_counter.entries, h_rabi.entries)
+        yield f"parity identities {tag}", "max<=", 1e-12, lambda: _parity_deviation(space, hamiltonians)
+        yield f"frame conjugation {tag}", "max<=", 1e-12, lambda: frame_conjugation_check(
+            params, space, rng.uniform(0.0, 30.0, size=20)
+        )
+        doublets = (spec.doublet(params, atom, nn) for nn in range(11) for spec in analytic.FRAMES.values() for atom in ("e", "g"))
+        yield f"dressing closure {tag}", "max<=", 1e-14, lambda: max(  # a degenerate doublet has no dressing pair
+            abs(c**2 + s**2 - 1.0) for rabi, c, s in doublets if rabi != 0.0
+        )
 
-        parity_dev = 0.0
-        n_bar_vals = space.photon_numbers() + space.excited_mask().astype(int) + 2 * (~space.excited_mask()).astype(int)
-        for k in (1, 2, 3):
-            pi_k = build_parity(space, k).entries
-            alt = np.diag(np.where((k * n_bar_vals) % 2 == 0, 1.0, -1.0))
-            parity_dev = max(parity_dev, float(np.max(np.abs(pi_k - alt))))
-            for h in (h_rot.entries, h_counter.entries, h_rabi.entries):
-                parity_dev = max(parity_dev, float(np.max(np.abs(pi_k.conj().T @ h @ pi_k - h))))
-            if k % 2 == 0:
-                parity_dev = max(parity_dev, float(np.max(np.abs(pi_k @ pi_k - np.eye(space.dim)))))
-        bounded(f"parity identities {tag}", parity_dev, 1e-12)
 
-        conj_dev = frame_conjugation_check(params, space, rng.uniform(0.0, 30.0, size=20))
-        bounded(f"frame conjugation {tag}", conj_dev, 1e-12)
-
-        closure_dev = 0.0
-        for nn in range(0, 11):
-            for spec in analytic.FRAMES.values():
-                for atom in ("e", "g"):
-                    rabi, c, s = spec.doublet(params, atom, nn)
-                    if rabi != 0.0:  # a degenerate doublet has no dressing pair
-                        closure_dev = max(closure_dev, abs(c**2 + s**2 - 1.0))
-        bounded(f"dressing closure {tag}", closure_dev, 1e-14)
-
+def _scenario_checks(param_sets, n_max):
+    """Seven checks on each of the 8 scenarios the oracle compares."""
     tau_grid = np.linspace(0.0, 25.0, 200)
     for frame, spec in analytic.FRAMES.items():
         params = param_sets[f"{frame}-params"]
         grid = tau_grid / params.g
         for n in (0, 1, 5, 40):
             label = f"{frame} n={n}"
-            try:
+
+            @cache
+            def setup():
                 report = compare_scenario(params, frame, n, grid, n_max=n_max)
                 hamiltonian, psi0 = report.hamiltonian, report.initial
                 t_probe = 7.3 / params.g
                 halves = propagate_series(hamiltonian, propagate_series(hamiltonian, psi0, [t_probe / 2])[0], [t_probe / 2])[0]
                 whole = propagate_series(hamiltonian, psi0, [t_probe])[0]
-                wide = compare_scenario(params, frame, n, grid, n_max=report.n_max + 10)
-                note = ""
-            except TruncationError as exc:
-                note = f"truncation too small: {exc}"
-            # (record, name, value, bound); a scenario that does not fit the
-            # truncation fails every one of its checks with the same note
-            for record, name, value, bound in (
-                (bounded, f"scenario {label} state dev", lambda: report.max_state_dev, oracle.STATE_TOL),
-                (bounded, f"scenario {label} observable dev", lambda: report.worst_obs_dev(), oracle.OBS_TOL),
-                (bounded, f"conserved {spec.conserved} flat {label}", lambda: np.ptp(report.raw[spec.conserved]), 1e-12),
-                (exceeds, f"alternate {spec.varying} varies {label}", lambda: np.ptp(report.raw[spec.varying]), 0.01),
-                (bounded, f"propagation unitarity {label}", lambda: np.max(np.abs(np.linalg.norm(report.amps, axis=1) - 1.0)), 1e-12),
-                (bounded, f"propagation composition {label}", lambda: np.max(np.abs(halves.amps - whole.amps)), 1e-11),
-                (bounded, f"truncation robustness {label}",
-                 lambda: max(float(np.max(np.abs(report.raw[k] - wide.raw[k]))) for k in report.raw), 1e-10),
-            ):
-                if note:
-                    failed(name, note)
-                else:
-                    record(name, value(), bound)
+                return report, halves, whole, compare_scenario(params, frame, n, grid, n_max=report.n_max + 10)
 
-    # eigenstate residuals and number eigenvalues: the initial eigenstates of
-    # each frame (rf: `ajc_eigenstate`, crf: `jc_eigenstate`) diagonalise the
-    # other frame's Hamiltonian and the frame's `varying` number
+            for name, mode, bound, value in (
+                (f"scenario {label} state dev", "max<=", oracle.STATE_TOL, lambda r, *_: r.max_state_dev),
+                (f"scenario {label} observable dev", "max<=", oracle.OBS_TOL, lambda r, *_: r.worst_obs_dev()),
+                (f"conserved {spec.conserved} flat {label}", "max<=", 1e-12, lambda r, *_: np.ptp(r.raw[spec.conserved])),
+                (f"alternate {spec.varying} varies {label}", "min>", 0.01, lambda r, *_: np.ptp(r.raw[spec.varying])),
+                (f"propagation unitarity {label}", "max<=", 1e-12,
+                 lambda r, *_: np.max(np.abs(np.linalg.norm(r.amps, axis=1) - 1.0))),
+                (f"propagation composition {label}", "max<=", 1e-11,
+                 lambda r, halves, whole, wide: np.max(np.abs(halves.amps - whole.amps))),
+                (f"truncation robustness {label}", "max<=", 1e-10,
+                 lambda r, halves, whole, wide: max(float(np.max(np.abs(r.raw[k] - wide.raw[k]))) for k in r.raw)),
+            ):
+                yield name, mode, bound, lambda: value(*setup())
+
+
+def _eigenstate_checks(param_sets, n_max, rng):
+    """Eigenstate residuals, then branch orthonormality through time, of each parameter set."""
     for tag, params in param_sets.items():
-        nm = (45 + 5) if n_max is None else n_max
-        try:
-            eig_space = HilbertSpace(nm)
+        # the initial eigenstates of each frame (rf: `ajc_eigenstate`, crf: `jc_eigenstate`)
+        # diagonalise the other frame's Hamiltonian and the frame's `varying` number
+        def residual():
+            eig_space = HilbertSpace(50 if n_max is None else n_max)
             effective = build_effective(params, eig_space)
             numbers = dict(zip(("n_jc", "n_ajc"), build_number_ops(eig_space)))
-            residual = 0.0
+            devs = []
             for spec, eigenstate in zip(analytic.FRAMES.values(), (analytic.ajc_eigenstate, analytic.jc_eigenstate)):
                 hamiltonian, number_op = effective[1 - spec.hamiltonian].entries, numbers[spec.varying].entries
-                for n in (0, 1, 5, 40, 45):
-                    for sign in (+1, -1):
-                        if n == 0 and sign == -spec.sign:
-                            continue  # the null branch
+                for n, sign in product((0, 1, 5, 40, 45), (+1, -1)):
+                    if n > 0 or sign == spec.sign:  # skip the null branch at n = 0
                         state, energy = eigenstate(params, eig_space, n, sign)
-                        image = hamiltonian @ state.amps
-                        residual = max(residual, float(np.max(np.abs(image - energy * state.amps))))
-                        number = np.vdot(state.amps, number_op @ state.amps).real
-                        residual = max(residual, abs(number - spec.initial_number(n)))
-            bounded(f"eigenstate residuals {tag}", residual, 1e-12)
-        except TruncationError as exc:
-            failed(f"eigenstate residuals {tag}", f"truncation too small: {exc}")
+                        devs += [float(np.max(np.abs(hamiltonian @ state.amps - energy * state.amps))),
+                                 abs(np.vdot(state.amps, number_op @ state.amps).real - spec.initial_number(n))]
+            return max(devs)
 
-        # branch-state orthonormality through time
-        nm_orth = 10 if n_max is None else n_max
-        try:
-            orth_space = HilbertSpace(nm_orth)
-            orth_dev = 0.0
+        def orthonormality():
+            orth_space = HilbertSpace(10 if n_max is None else n_max)
             times = rng.uniform(0.0, 40.0, size=50)
+            devs = []
             for frame in analytic.FRAMES:
                 top, bot = analytic._branch_series(params, orth_space, frame, 5, times)
-                norms = np.linalg.norm(np.concatenate((top, bot)), axis=1)
-                overlaps = np.einsum("ti,ti->t", top.conj(), bot)
-                orth_dev = max(orth_dev, float(np.max(np.abs(norms - 1.0))), float(np.max(np.abs(overlaps))))
-            bounded(f"branch orthonormality {tag}", orth_dev, 1e-12)
-        except TruncationError as exc:
-            failed(f"branch orthonormality {tag}", f"truncation too small: {exc}")
+                devs += [np.max(np.abs(np.linalg.norm(np.concatenate((top, bot)), axis=1) - 1.0)),
+                         np.max(np.abs(np.einsum("ti,ti->t", top.conj(), bot)))]
+            return max(devs)
 
+        yield f"eigenstate residuals {tag}", "max<=", 1e-12, residual
+        yield f"branch orthonormality {tag}", "max<=", 1e-12, orthonormality
+
+
+def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyReport:
+    """Run every module invariant and return the per-check report.
+
+    The checks are one stream of (name, mode, bound, thunk), in a fixed
+    order: the algebra identities of each parameter set, the 7 checks of
+    each of the 8 compared scenarios, then the eigenstate residuals and
+    branch orthonormality of each parameter set. Each thunk runs once, as
+    it is yielded, so the random times are drawn in stream order.
+
+    tol, when given, replaces the bound of every "max<=" check; the "min>"
+    pattern checks keep their floors. n_max, when given, forces the photon
+    truncation everywhere, including scenarios that then no longer fit. A
+    check whose thunk raises TruncationError reads (inf, 0.0, "max<=") and
+    fails with the note "truncation too small: ...", so a scenario that
+    does not fit fails all 7 of its checks with one note. A tol that is not
+    a finite real > 0, or an n_max below 2, raises ConfigError.
+    """
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0)):
+        raise ConfigError("tol", f"must be a finite number > 0, got {tol!r}")
+    if n_max is not None and (not isinstance(n_max, (int, np.integer)) or n_max < 2):
+        raise ConfigError("n_max", f"must be an integer >= 2, got {n_max!r}")
+    start = time.perf_counter()
+    param_sets = {f"{frame}-params": ModelParams.from_dimensionless(xi, FIGURE_EPSILON) for frame, xi in FIGURE_XI.items()}
+    rng = np.random.default_rng(1234567)
+    checks: list[CheckResult] = []
+    for name, mode, bound, thunk in chain(
+        _algebra_checks(param_sets, n_max, rng), _scenario_checks(param_sets, n_max), _eigenstate_checks(param_sets, n_max, rng)
+    ):
+        try:
+            value = float(thunk())
+        except TruncationError as exc:
+            checks.append(CheckResult(name, math.inf, 0.0, "max<=", False, f"truncation too small: {exc}"))
+            continue
+        bound = tol if mode == "max<=" and tol is not None else bound
+        checks.append(CheckResult(name, value, bound, mode, value <= bound if mode == "max<=" else value > bound))
     return VerifyReport(checks=checks, elapsed=time.perf_counter() - start)

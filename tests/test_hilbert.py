@@ -166,6 +166,15 @@ def test_hermiticity_check_reaches_the_last_row_block():
     assert OperatorMatrix(space, entries, hermitian=True).hermitian
 
 
+def test_hermiticity_check_rejects_nan():
+    space = HilbertSpace(150)
+    entries = np.eye(space.dim)
+    entries[3, 7] = np.nan
+    entries[300, 290] = 1.0  # asymmetric by 1.0, in the other row block
+    with pytest.raises(HermiticityError, match="max entrywise deviation nan"):
+        OperatorMatrix(space, entries, hermitian=True)
+
+
 def test_hermitian_tag_propagation():
     space = HilbertSpace(1)
     s_z, s_minus, _ = qubit_operators(space)

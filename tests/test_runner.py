@@ -763,12 +763,23 @@ class TestVerifySuite:
         assert not report.passed
         assert any(not c.passed for c in report.checks)
 
-    def test_small_truncation_surfaces_as_failed_checks(self):
-        report = verify_suite(n_max=5)
+    @pytest.mark.parametrize("n_max", [2, 5, 30])
+    def test_small_truncation_surfaces_as_failed_checks(self, n_max):
+        report = verify_suite(n_max=n_max)
         assert not report.passed
-        notes = [c.note for c in report.checks if not c.passed]
-        assert notes  # failures carry the truncation message, no exception escapes
-        assert any("truncation too small" in note for note in notes)
+        failed = [c for c in report.checks if not c.passed]
+        # n_max = 2 leaves only the photon-0 block inside the commutator
+        # interior, where the nonzero-commutator floors read 0.0
+        floors = [c for c in failed if c.name.startswith("nonzero commutator ")]
+        assert all(c.value == 0.0 and c.mode == "min>" and not c.note for c in floors)
+        assert bool(floors) == (n_max == 2)
+        # every other failure is a check that does not fit, whatever its mode:
+        # it reads (inf, 0.0, "max<=") and carries the truncation note
+        truncated = [c for c in failed if c not in floors]
+        assert truncated  # no exception escapes
+        assert all((c.value, c.bound, c.mode) == (math.inf, 0.0, "max<=") for c in truncated)
+        assert all(c.note.startswith("truncation too small: ") for c in truncated)
+        assert any(c.name.startswith("alternate ") and " varies " in c.name for c in truncated)
         # a scenario that does not fit fails all of its checks, so the table
         # keeps the default run's checks, in the same order
         assert [c.name for c in report.checks] == [c.name for c in verify_suite().checks]
@@ -844,6 +855,9 @@ class TestVerifySuite:
         floors = [c for c in report.checks if c.mode == "min>"]
         assert floors
         assert all(c.passed for c in floors)
+        # the tol replaces every upper bound and nothing else
+        assert all(c.bound == 1e-15 for c in report.checks if c.mode == "max<=")
+        assert all(c.bound == 0.01 for c in floors)
 
 
 @pytest.mark.parametrize(
@@ -857,6 +871,8 @@ class TestVerifySuite:
         ({"tol": float("inf")}, "tol"),
         ({"tol": -1.0}, "tol"),
         ({"tol": 0.0}, "tol"),
+        ({"tol": True}, "tol"),
+        ({"tol": "1e-9"}, "tol"),
     ],
 )
 def test_verify_suite_rejects_bad_arguments_by_name(kwargs, field):
