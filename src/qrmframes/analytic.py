@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateBranchError, NullStateError, TruncationError
+from .errors import DegenerateBranchError, NullStateError
 from .hilbert import HilbertSpace, StateVector
 from .model import ModelParams
 
@@ -144,14 +144,12 @@ def _eigenstate(
     """(amplitudes, energy) of `ajc_eigenstate` (rf) or `jc_eigenstate` (crf): the
     `spec.dressing` doublet on {|top_atom, n>, |bottom_atom, n-1>}, with bare
     amplitude 1 + sign*c for top atom e and 1 - sign*c for top atom g; at
-    n = 0 the bare state, energy (+-c) * rabi. Needs n_max >= initial_number(n).
+    n = 0 the bare state, energy (+-c) * rabi. Needs n_max >= n: the support
+    ends at photon n, and `space.index` raises TruncationError above n_max.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     _check_n(n)
-    need = spec.initial_number(n)
-    if need > space.n_max:
-        raise TruncationError(f"eigenstate at n={n} needs n_max >= {need}, got {space.n_max}")
     if n == 0 and sign == -spec.sign:
         raise NullStateError(f"the {'plus' if sign == +1 else 'minus'} branch at n=0 is the zero vector")
     rabi, c, s = spec.dressing(params, spec.top_atom, n)
@@ -265,15 +263,6 @@ def _as_time_array(t) -> np.ndarray:
     return arr
 
 
-def _evolution_spec(space: HilbertSpace, frame: str, n: int) -> Frame:
-    """`frame_spec`, once n is valid and n + 2 <= n_max leaves headroom above the support."""
-    spec = frame_spec(frame)
-    _check_n(n)
-    if n + 2 > space.n_max:
-        raise TruncationError(f"closed-form evolution at n={n} needs n_max >= {n + 2}, got {space.n_max}")
-    return spec
-
-
 def _evolve(params: ModelParams, space: HilbertSpace, family: str, amps0, tt) -> np.ndarray:
     """(T, d) evolution of amps0 over times tt: each nonzero bare component
     |atom, k> rotates inside its `family` doublet, with the phase
@@ -299,7 +288,8 @@ def _branch_series(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(T, d) evolutions of |top_atom, n> and |bottom_atom, n-1> (None at n = 0)
     over times tt; both stay unit norm and mutually orthogonal at every t."""
-    spec = _evolution_spec(space, frame, n)
+    spec = frame_spec(frame)
+    _check_n(n)
     unit = np.eye(space.dim)
     top = _evolve(params, space, spec.family, unit[space.index(spec.top_atom, n)], tt)
     if n == 0:
@@ -311,9 +301,10 @@ def evolve_series(
     params: ModelParams, space: HilbertSpace, frame: str, n: int, grid
 ) -> np.ndarray:
     """Closed-form frame state at every grid time, as a (T, d) amplitude array:
-    `initial_state` evolved doublet by doublet; needs n + 2 <= n_max."""
+    `initial_state` evolved doublet by doublet; needs n_max >= n + 1, where the
+    top component's partner sits, or `space.index` raises TruncationError."""
     tt = _as_time_array(grid).reshape(-1)
-    spec = _evolution_spec(space, frame, n)
+    spec = frame_spec(frame)
     return _evolve(params, space, spec.family, _eigenstate(params, space, spec, n, spec.sign)[0], tt)
 
 

@@ -29,11 +29,12 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--frame", choices=list(FRAMES), help="effective frame")
     evolve.add_argument("--n", type=int, help="excitation index of the initial eigenstate")
     evolve.add_argument("--xi", type=float, help="detuning delta / (2 g)")
-    evolve.add_argument("--eps", type=float, help="mode frequency omega / g")
+    evolve.add_argument("--eps", dest="epsilon", metavar="EPS", type=float, help="mode frequency omega / g")
     evolve.add_argument("--g", type=float, help="coupling strength")
     evolve.add_argument("--tau-max", type=float, help="end of the dimensionless time grid")
     evolve.add_argument("--steps", type=int, help="number of grid points (>= 2)")
-    evolve.add_argument("--nmax", type=int, help="photon truncation echoed to cross-checks")
+    evolve.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int,
+                        help="photon truncation echoed to cross-checks, >= n + 1")
     evolve.add_argument("--config", type=Path, help="JSON config file; flags override its fields")
     evolve.add_argument("--out", type=Path, help="CSV output path", required=True)
     evolve.add_argument("--svg", type=Path, help="optional SVG output path")
@@ -54,26 +55,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_FIELDS = {
-    "frame": "frame",
-    "n": "n",
-    "xi": "xi",
-    "eps": "epsilon",
-    "g": "g",
-    "tau_max": "tau_max",
-    "steps": "steps",
-    "nmax": "n_max",
-}
-
-
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config is not None:
         data = ExperimentConfig.from_json(args.config.read_text(encoding="utf-8")).to_dict()
-    for flag, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            data[field_name] = value
+    for name in ("frame", "n", "xi", "epsilon", "g", "tau_max", "steps", "n_max"):  # each flag's dest is its field
+        if (value := getattr(args, name)) is not None:
+            data[name] = value
     if "frame" not in data or data["frame"] is None:
         raise ConfigError("frame", "required (pass --frame or provide it in --config)")
     outputs = ["csv", "svg"] if args.svg is not None else ["csv"]

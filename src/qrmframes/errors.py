@@ -6,7 +6,7 @@ class QrmError(Exception):
 
 
 class TruncationError(QrmError):
-    """Photon index outside the truncated Fock space, or headroom too small."""
+    """Photon index outside the truncated Fock space."""
 
 
 class HermiticityError(QrmError):

@@ -20,6 +20,7 @@ from .hilbert import (
     StateVector,
     _dense,
     _propagate,
+    _require_same_space,
     _terms,
     commutator,
 )
@@ -79,6 +80,7 @@ def _trajectory(hamiltonian: OperatorMatrix, psi0: StateVector, grid) -> np.ndar
     """(T, d) amplitudes exp(-i H t) psi0 on every grid time, from one eigendecomposition."""
     if not hamiltonian.hermitian:
         raise HermiticityError("propagation requires a hermitian-tagged operator")
+    _require_same_space(hamiltonian.space, psi0.space)
     if abs(psi0.norm() - 1.0) > 1e-10:
         raise NumericConsistencyError(f"initial norm {psi0.norm()!r} is not 1")
     return _propagate(hamiltonian, psi0.amps, np.asarray(grid, dtype=float))
@@ -145,9 +147,14 @@ def observable_series(
     The states are stacked into one (T, d) array. An operator with exactly
     diagonal entries (all of `standard_observables`) scales it by the diagonal,
     O(T d); any other costs one dense matrix product, O(T d^2) in BLAS.
+    As in `expectation`, an untagged operator or a foreign space raises.
     """
+    if untagged := [name for name, op in ops.items() if not op.hermitian]:
+        raise HermiticityError(f"observable_series requires hermitian-tagged operators, not {untagged}")
     if not states:
         return {name: np.array([]) for name in ops}
+    for item in (*states, *ops.values()):
+        _require_same_space(states[0].space, item.space)
     return _expectations(np.stack([psi.amps for psi in states]), ops)
 
 
@@ -174,11 +181,10 @@ def compare_scenario(
     space = HilbertSpace(n_max)
     grid = np.asarray(grid, dtype=float)
     psi0 = analytic.initial_state(params, space, frame, n)
-    analytic._evolution_spec(space, frame, n)  # both truncation guards raise before anything is built
+    analytic_amps = analytic.evolve_series(params, space, frame, n, grid)  # raises before any operator is built
     terms = _terms(space)
     (hamiltonian,) = _operators(params, space, terms, frame)
 
-    analytic_amps = analytic.evolve_series(params, space, frame, n, grid)
     numeric_amps = _trajectory(hamiltonian, psi0, grid)
     numeric_amps.setflags(write=False)
     state_dev = float(np.max(np.abs(analytic_amps - numeric_amps), initial=0.0))

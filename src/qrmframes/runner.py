@@ -73,8 +73,9 @@ class ExperimentConfig:
 
     Physical parameters derive as omega = epsilon*g, delta = 2*xi*g,
     omega0 = delta + omega; tau_k = k * tau_max / (steps - 1). n_max is the
-    photon truncation used by matrix cross-checks (closed forms never
-    truncate) and defaults to n + 20.
+    photon truncation echoed for matrix cross-checks (closed forms never
+    truncate); it must reach n + 1, where the evolved support ends. xi,
+    epsilon, g and tau_max are stored as Python floats once validated.
     """
 
     frame: str
@@ -100,6 +101,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float, np.integer, np.floating)) or not math.isfinite(value):
                 raise ConfigError(name, f"must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.epsilon <= 0:
             raise ConfigError("epsilon", f"must be > 0 so that omega > 0, got {self.epsilon!r}")
         if self.g <= 0:
@@ -111,9 +113,9 @@ class ExperimentConfig:
         if not isinstance(self.steps, int) or self.steps < 2:
             raise ConfigError("steps", f"must be an integer >= 2, got {self.steps!r}")
         if self.n_max is not None:
-            if not isinstance(self.n_max, int) or self.n_max < self.n + 2:
+            if not isinstance(self.n_max, int) or self.n_max < self.n + 1:
                 raise ConfigError(
-                    "n_max", f"must be an integer >= n + 2 = {self.n + 2}, got {self.n_max!r}"
+                    "n_max", f"must be an integer >= n + 1 = {self.n + 1}, got {self.n_max!r}"
                 )
         if not isinstance(self.outputs, (list, tuple)) or not all(isinstance(k, str) for k in self.outputs):
             raise ConfigError("outputs", f"must be a list of artifact kinds, got {self.outputs!r}")
@@ -121,10 +123,6 @@ class ExperimentConfig:
         unknown = set(self.outputs) - {"csv", "svg"}
         if unknown:
             raise ConfigError("outputs", f"unknown artifact kinds {sorted(unknown)}")
-
-    @property
-    def effective_n_max(self) -> int:
-        return self.n + 20 if self.n_max is None else self.n_max
 
     def params(self) -> ModelParams:
         return ModelParams.from_dimensionless(self.xi, self.epsilon, self.g)
@@ -148,11 +146,7 @@ class ExperimentConfig:
             raise ConfigError(sorted(unknown)[0], "unknown config field")
         if "frame" not in data:
             raise ConfigError("frame", "required field is missing")
-        cleaned = dict(data)
-        for name in ("xi", "epsilon", "g", "tau_max"):
-            if name in cleaned and type(cleaned[name]) is int:  # bools stay, to be rejected
-                cleaned[name] = float(cleaned[name])
-        return cls(**cleaned)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> ExperimentConfig:
@@ -543,6 +537,12 @@ def _algebra_checks(param_sets, n_max, rng):
     keep, eye = max(nm - 2, 0), np.eye(space.dim)
     mask = interior_projector(space, keep)
     interior = np.ix_(mask, mask)
+
+    def floor(a, b):  # the nonzero commutators vanish on the photon-0 block alone
+        if keep < 1:
+            raise TruncationError(f"nonzero commutators need photon 1 inside the interior block, n_max >= 3, got {nm}")
+        return interior_commutator_norm(a, b, keep)
+
     for tag, params in param_sets.items():
         h_rabi = build_rabi(params, space)
         h_rot, h_counter = build_components(params, space)
@@ -561,7 +561,7 @@ def _algebra_checks(param_sets, n_max, rng):
             yield f"zero commutator {label} {tag}", "max<=", 1e-13, lambda: interior_commutator_norm(a, b, keep)
         for label, a, b in (("[n_jc, h_crf]", n_jc, h_crf), ("[n_ajc, h_rf]", n_ajc, h_rf), ("[h_rf, h_crf]", h_rf, h_crf),
                             ("[h_rot, h_counter]", h_rot, h_counter)):
-            yield f"nonzero commutator {label} {tag}", "min>", 0.01, lambda: interior_commutator_norm(a, b, keep)
+            yield f"nonzero commutator {label} {tag}", "min>", 0.01, lambda: floor(a, b)
         for label, t_op, square in (
             ("rotating", t_jc, 0.25 * params.delta**2 * eye + params.g**2 * n_jc.entries),
             ("counter", t_ajc, 0.25 * params.delta_bar**2 * eye + params.g**2 * (n_ajc.entries - eye)),

@@ -207,10 +207,19 @@ class TestEigenstates:
         assert plus.norm() == pytest.approx(1.0, abs=1e-15)
         assert abs(plus.overlap(minus)) <= 1e-15
 
+    @pytest.mark.parametrize("eigenstate,sign", [(ajc_eigenstate, +1), (jc_eigenstate, -1)])
+    @pytest.mark.parametrize("n", [0, 1, 5, 40])
+    def test_support_ending_at_n_fits_n_max_n(self, eigenstate, sign, n):
+        tight, energy = eigenstate(FIG_CRF, HilbertSpace(n), n, sign)
+        roomy, roomy_energy = eigenstate(FIG_CRF, HilbertSpace(n + 1), n, sign)
+        assert np.array_equal(tight.amps, roomy.amps[: tight.space.dim])
+        assert not roomy.amps[tight.space.dim:].any()
+        assert energy == roomy_energy
+
     def test_truncation_guards(self):
         space = HilbertSpace(4)
         with pytest.raises(TruncationError):
-            ajc_eigenstate(FIG_CRF, space, 4, +1)  # support reaches photon 5
+            ajc_eigenstate(FIG_CRF, space, 5, +1)  # support reaches photon 5
         with pytest.raises(TruncationError):
             jc_eigenstate(FIG_CRF, space, 5, -1)
         with pytest.raises(ValueError):
@@ -263,7 +272,7 @@ class TestEvolution:
             assert evolve_crf(FIG_CRF, space, 5, float(t)).norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_headroom_guard(self):
-        space = HilbertSpace(5)
+        space = HilbertSpace(4)  # the partner of the top component sits at photon n + 1 = 5
         with pytest.raises(TruncationError):
             evolve_rf(FIG_RF, space, 4, 1.0)
         with pytest.raises(TruncationError):

@@ -35,7 +35,7 @@ from qrmframes import (
     standard_observables,
 )
 from qrmframes import analytic
-from qrmframes.oracle import CRF_COLUMN_MAP, RF_COLUMN_MAP
+from qrmframes.oracle import CRF_COLUMN_MAP, RF_COLUMN_MAP, _expectations
 
 FIG_RF = ModelParams.from_dimensionless(0.0, 0.16)
 FIG_CRF = ModelParams.from_dimensionless(1.0 / 1.31, 0.16)
@@ -102,6 +102,24 @@ def test_standard_observable_values_on_basis_states():
     assert row_g0["n_ajc"][0] == pytest.approx(2.0)
 
 
+def test_observable_series_rejects_an_untagged_operator():
+    space = HilbertSpace(2)
+    _, s_minus, _ = qubit_operators(space)
+    with pytest.raises(HermiticityError):
+        observable_series([basis_state(space, "e", 0)], {"sm": s_minus})
+
+
+def test_series_reject_a_state_from_another_space():
+    space, other = HilbertSpace(2), HilbertSpace(3)
+    h_rf, _ = build_effective(FIG_RF, space)
+    with pytest.raises(ValueError, match="different spaces"):
+        propagate_series(h_rf, basis_state(other, "g", 0), [0.0])
+    with pytest.raises(ValueError, match="different spaces"):
+        observable_series([basis_state(other, "g", 0)], standard_observables(space))
+    with pytest.raises(ValueError, match="different spaces"):
+        observable_series([basis_state(space, "g", 0), basis_state(other, "g", 0)], {})
+
+
 def test_observable_series_on_empty_input():
     ops = standard_observables(HilbertSpace(1))
     out = observable_series([], ops)
@@ -149,7 +167,17 @@ def test_compare_scenario_default_truncation():
 def test_compare_scenario_truncation_guard():
     grid = np.linspace(0.0, 5.0, 20)
     with pytest.raises(TruncationError):
-        compare_scenario(FIG_RF, "rf", 40, grid, n_max=41)
+        compare_scenario(FIG_RF, "rf", 40, grid, n_max=40)
+
+
+@pytest.mark.parametrize("frame", ["rf", "crf"])
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+def test_compare_scenario_fits_n_max_n_plus_one(frame, n):
+    grid = np.linspace(0.0, 25.0, 200)
+    params = FIG_RF if frame == "rf" else FIG_CRF
+    assert compare_scenario(params, frame, n, grid, n_max=n + 1).passed
+    with pytest.raises(TruncationError):
+        compare_scenario(params, frame, n, grid, n_max=n)
 
 
 @pytest.mark.parametrize("frame", ["rf", "crf"])
@@ -392,8 +420,14 @@ def test_one_off_diagonal_pair_takes_the_dense_path(row, col):
 
 
 def test_imaginary_diagonal_still_raises():
+    # no hermitian-tagged operator carries an imaginary diagonal, so the
+    # public series rejects it by its tag and the residue guard is reached
+    # through the row-wise reduction itself
     rng = np.random.default_rng(13)
     space = HilbertSpace(3)
     op = OperatorMatrix(space, np.diag(1j * np.arange(space.dim)))
+    states = _random_states(rng, space, 4)
+    with pytest.raises(HermiticityError):
+        observable_series(states, {"op": op})
     with pytest.raises(NumericConsistencyError, match="imaginary residue"):
-        observable_series(_random_states(rng, space, 4), {"op": op})
+        _expectations(np.stack([psi.amps for psi in states]), {"op": op})

@@ -35,7 +35,6 @@ class TestExperimentConfig:
     def test_defaults_and_grid(self):
         cfg = ExperimentConfig(frame="rf")
         assert cfg.n == 0
-        assert cfg.effective_n_max == 20
         grid = cfg.tau_grid()
         assert grid.shape == (2000,)
         assert grid[0] == 0.0
@@ -62,7 +61,7 @@ class TestExperimentConfig:
             ("g", {"frame": "rf", "g": -1.0}),
             ("tau_max", {"frame": "rf", "tau_max": 0.0}),
             ("steps", {"frame": "rf", "steps": 1}),
-            ("n_max", {"frame": "rf", "n": 5, "n_max": 6}),
+            ("n_max", {"frame": "rf", "n": 5, "n_max": 5}),
             ("outputs", {"frame": "rf", "outputs": ("csv", "png")}),
             ("frame", {"frame": ["rf"]}),  # unhashable, as from a JSON config
         ],
@@ -119,6 +118,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(frame="rf", **{field: value})
         assert err.value.field == field
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.float32(2.0), 2])
+    def test_numeric_fields_are_stored_as_python_floats(self, value):
+        cfg = ExperimentConfig(frame="crf", n=1, xi=value, epsilon=value, g=value, tau_max=value, steps=3)
+        assert all(type(getattr(cfg, name)) is float for name in ("xi", "epsilon", "g", "tau_max"))
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert run_experiment(cfg).series["n_ajc"].shape == (3,)
 
     def test_booleans_summed_to_an_integer_are_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -767,19 +773,17 @@ class TestVerifySuite:
     def test_small_truncation_surfaces_as_failed_checks(self, n_max):
         report = verify_suite(n_max=n_max)
         assert not report.passed
-        failed = [c for c in report.checks if not c.passed]
-        # n_max = 2 leaves only the photon-0 block inside the commutator
-        # interior, where the nonzero-commutator floors read 0.0
-        floors = [c for c in failed if c.name.startswith("nonzero commutator ")]
-        assert all(c.value == 0.0 and c.mode == "min>" and not c.note for c in floors)
-        assert bool(floors) == (n_max == 2)
-        # every other failure is a check that does not fit, whatever its mode:
-        # it reads (inf, 0.0, "max<=") and carries the truncation note
-        truncated = [c for c in failed if c not in floors]
+        # every failure is a check that does not fit, whatever its mode: it
+        # reads (inf, 0.0, "max<=") and carries the truncation note; at
+        # n_max = 2 that includes the nonzero-commutator floors, whose
+        # interior block holds photon 0 alone
+        truncated = [c for c in report.checks if not c.passed]
         assert truncated  # no exception escapes
         assert all((c.value, c.bound, c.mode) == (math.inf, 0.0, "max<=") for c in truncated)
         assert all(c.note.startswith("truncation too small: ") for c in truncated)
         assert any(c.name.startswith("alternate ") and " varies " in c.name for c in truncated)
+        assert any(c.name.startswith("nonzero commutator ") for c in truncated) == (n_max == 2)
+        assert all(c.passed for c in report.checks if " n=1 " in f" {c.name} ")  # n_max >= n + 1 fits
         # a scenario that does not fit fails all of its checks, so the table
         # keeps the default run's checks, in the same order
         assert [c.name for c in report.checks] == [c.name for c in verify_suite().checks]
