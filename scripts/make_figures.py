@@ -1,11 +1,23 @@
 #!/usr/bin/env python3
-"""Regenerate the full figure set: one CSV + SVG pair per panel, plus manifest."""
+"""Regenerate the full figure set: one CSV + SVG pair per panel, plus manifest.
+
+Exit codes are those of the qrmframes command line."""
 
 import argparse
 import sys
 from pathlib import Path
 
-from qrmframes import ConfigError, reproduce_figures
+from qrmframes import reproduce_figures
+from qrmframes.cli import exit_code
+
+
+def figures(args: argparse.Namespace) -> int:
+    manifest = reproduce_figures(args.outdir, tau_max=args.tau_max, steps=args.steps)
+    for entry in manifest["figures"]:
+        print(f"{entry['name']}  frame={entry['frame']} n={entry['n']:<3d} "
+              f"column={entry['column']}")
+    print(f"{len(manifest['figures'])} figure pairs and manifest.json in {args.outdir}")
+    return 0
 
 
 def main() -> None:
@@ -16,17 +28,8 @@ def main() -> None:
                         help="dimensionless time horizon (default: 50)")
     parser.add_argument("--steps", type=int, default=2000,
                         help="samples per series (default: 2000)")
-    args = parser.parse_args()
-
-    try:
-        manifest = reproduce_figures(args.outdir, tau_max=args.tau_max, steps=args.steps)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        sys.exit(2)
-    for entry in manifest["figures"]:
-        print(f"{entry['name']}  frame={entry['frame']} n={entry['n']:<3d} "
-              f"column={entry['column']}")
-    print(f"{len(manifest['figures'])} figure pairs and manifest.json in {args.outdir}")
+    if code := exit_code(figures, parser.parse_args()):
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -200,7 +200,8 @@ class Frame(NamedTuple):
     (`dressing`) dresses. `doublet(params, atom, n)` gives (rabi, c, s) of
     the doublet at |atom, n>, zeros when it is degenerate. `hamiltonian`
     indexes `build_effective`, `columns` maps reported columns to raw
-    expectations, and `conserved` / `varying` name the raw numbers.
+    expectations, `conserved` / `varying` name the raw numbers, and `k` is
+    the conserved number on |top_atom, n> minus n.
     """
 
     family: str
@@ -210,6 +211,7 @@ class Frame(NamedTuple):
     columns: dict[str, str]
     conserved: str
     varying: str
+    k: float
 
     @property
     def bottom_atom(self) -> str:
@@ -231,13 +233,13 @@ FRAMES = {
         "jc", "e", +1, 0,
         {"s_z": "s_z", "atomic_excitation": "sp_sm", "photon": "ad_a",
          "n_jc": "n_jc", "n_ajc": "n_ajc"},
-        "n_jc", "n_ajc",
+        "n_jc", "n_ajc", 1.0,
     ),
     "crf": Frame(
         "ajc", "g", -1, 1,
         {"s_z": "s_z", "atomic_excitation": "sm_sp", "photon": "a_ad",
          "n_jc": "n_jc", "n_ajc": "n_ajc"},
-        "n_ajc", "n_jc",
+        "n_ajc", "n_jc", 2.0,
     ),
 }
 
@@ -349,10 +351,10 @@ def observables(params: ModelParams, frame: str, n: int, t) -> Observables:
     carry weights (1 + c)^2 and s^2 with the dressing pair of the initial
     eigenstate, and <s_z> swings with the sign of the top branch's bare
     atom. The frame's own number is conserved at its initial value
-    n + 1 - s^2/(1 + c) (rotating) or n + 2 - s^2/(1 + c)
-    (counter-rotating); at n = 0 the initial state is bare and that weight
-    vanishes. Calls go through the module's `observables_rf` /
-    `observables_crf`, so wrappers bound over those (bench/tracing.py) see them.
+    n + k - s^2/(1 + c), k = `Frame.k` (1 rotating, 2 counter-rotating);
+    at n = 0 the initial state is bare and that weight vanishes. Calls go
+    through the module's `observables_rf` / `observables_crf`, so wrappers
+    bound over those (bench/tracing.py) see them.
     """
     frame_spec(frame)
     return globals()[f"observables_{frame}"](params, n, t)
@@ -365,27 +367,20 @@ def _observables(params: ModelParams, frame: str, n: int, t) -> Observables:
     r1, _, s1 = spec.doublet(params, spec.top_atom, n)
     top_factor = 1.0 - 2.0 * s1**2 * np.sin(r1 * tt) ** 2
     if n == 0:
-        c, s = 1.0, 0.0
-        bottom_factor = np.ones_like(tt)
+        c, s, bottom_factor = 1.0, 0.0, 1.0
     else:
         _, c, s = spec.dressing(params, spec.top_atom, n)
         r2, _, s2 = spec.doublet(params, spec.bottom_atom, n - 1)
         bottom_factor = 1.0 - 2.0 * s2**2 * np.sin(r2 * tt) ** 2
-    weight = s**2 / (1.0 + c)
-    swing = ((1.0 + c) ** 2 * top_factor - s**2 * bottom_factor) / (4.0 * (1.0 + c))
-    # top atom e, normal order and a conserved N in the rotating frame;
-    # top atom g, antinormal order and a conserved N_bar in the other
-    if frame == "rf":
-        s_z = swing
-        photon = (n + 0.5 - weight) - swing
-        n_jc = (n + 1.0 - weight) + 0.0 * swing
-        n_ajc = (n - weight) + 2.0 * (1.0 - swing)
-    else:
-        s_z = -swing
-        photon = (n + 1.5 - weight) - swing
-        n_jc = (n + 1.0 - weight) - 2.0 * swing
-        n_ajc = (n + 2.0 - weight) + 0.0 * swing
-    return Observables(s_z, 0.5 + swing, photon, n_jc, n_ajc)
+    opc = 1.0 + c if c >= 0 else s * s / (1.0 - c)  # 1 + c without cancellation as c -> -1
+    weight = s**2 / opc
+    swing = (opc**2 * top_factor - s**2 * bottom_factor) / (4.0 * opc)
+    # conserved number n + k - weight; N_bar - N = 1 - 2 s_z; photon = conserved - ordered excitation
+    k = spec.k
+    numbers = {spec.conserved: (n + k - weight) + 0.0 * swing, spec.varying: (n + (3.0 - k) - weight) - 2.0 * swing}
+    return Observables(
+        s_z=spec.sign * swing, atomic_excitation=0.5 + swing, photon=(n + (k - 0.5) - weight) - swing, **numbers
+    )
 
 
 def observables_rf(params: ModelParams, n: int, t) -> Observables:

@@ -96,11 +96,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(command, args: argparse.Namespace) -> int:
+    """Run `command(args)` and return its exit code; a package or I/O error it
+    raises is printed to stderr and mapped to the code the module docstring gives."""
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -110,6 +110,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 def entry_point() -> None:

@@ -16,6 +16,19 @@ import numpy as np
 
 from .errors import HermiticityError, NumericConsistencyError, TruncationError
 
+__all__ = [
+    "HilbertSpace",
+    "StateVector",
+    "OperatorMatrix",
+    "basis_state",
+    "identity",
+    "fock_operators",
+    "qubit_operators",
+    "commutator",
+    "evolve_with",
+    "expectation",
+]
+
 HERMITICITY_TOL = 1e-13
 _HERMITICITY_BLOCK = 256  # rows per step of the construction-time Hermiticity check
 IMAG_TOL = 1e-12

@@ -13,6 +13,7 @@ truncation; product forms are only trusted on the interior block.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,17 @@ __all__ = [
     "build_parity",
     "frame_conjugation_check",
 ]
+
+
+def _finite(value) -> bool:
+    """The package's one rule for a numeric input: a real number, not a bool,
+    that converts to a finite float (an int past the float range does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -50,7 +62,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("omega", "omega0", "g"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if not _finite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields
 from functools import cache, partial
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericConsistencyError, TruncationError
 from .hilbert import HilbertSpace
-from .model import ModelParams, build_components, build_effective, build_number_ops, build_parity, build_rabi, build_transition_ops, frame_conjugation_check
+from .model import ModelParams, _finite, build_components, build_effective, build_number_ops, build_parity, build_rabi, build_transition_ops, frame_conjugation_check
 from .oracle import compare_scenario, interior_commutator_norm, interior_projector, propagate_series
 from . import analytic, oracle
 
@@ -33,6 +32,7 @@ __all__ = [
     "emit_csv",
     "emit_svg",
     "parse_config_comment",
+    "read_csv",
     "reproduce_figures",
     "beat_modulation_period",
     "CheckResult",
@@ -93,15 +93,12 @@ class ExperimentConfig:
             raise ConfigError("frame", f"must be one of {list(analytic.FRAMES)}, got {self.frame!r}")
         for name in ("n", "steps", "n_max", "xi", "epsilon", "g", "tau_max"):
             value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ConfigError(name, f"must not be a boolean, got {value!r}")
+            if not _finite(value) and not (name == "n_max" and value is None):
+                raise ConfigError(name, f"must be a finite number, got {value!r}")
         if not isinstance(self.n, int) or self.n < 0:
             raise ConfigError("n", f"must be a non-negative integer, got {self.n!r}")
         for name in ("xi", "epsilon", "g", "tau_max"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float, np.integer, np.floating)) or not math.isfinite(value):
-                raise ConfigError(name, f"must be a finite number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.epsilon <= 0:
             raise ConfigError("epsilon", f"must be > 0 so that omega > 0, got {self.epsilon!r}")
         if self.g <= 0:
@@ -663,9 +660,9 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
     does not fit fails all 7 of its checks with one note. A tol that is not
     a finite real > 0, or an n_max below 2, raises ConfigError.
     """
-    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not (math.isfinite(tol) and tol > 0)):
+    if tol is not None and not (_finite(tol) and tol > 0):
         raise ConfigError("tol", f"must be a finite number > 0, got {tol!r}")
-    if n_max is not None and (not isinstance(n_max, (int, np.integer)) or n_max < 2):
+    if n_max is not None and (not isinstance(n_max, (int, np.integer)) or not _finite(n_max) or n_max < 2):
         raise ConfigError("n_max", f"must be an integer >= 2, got {n_max!r}")
     start = time.perf_counter()
     param_sets = {f"{frame}-params": ModelParams.from_dimensionless(xi, FIGURE_EPSILON) for frame, xi in FIGURE_XI.items()}

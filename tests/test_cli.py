@@ -76,6 +76,16 @@ def test_invalid_field_value_is_a_config_error(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["n", "xi", "epsilon", "g", "tau_max", "steps", "n_max"])
+def test_config_int_past_the_float_range_is_a_config_error(tmp_path, capsys, field):
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps({"frame": "rf", field: 10**400}), encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: must be a finite number")
+    assert not out.exists()
+
+
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{broken", encoding="utf-8")

@@ -67,6 +67,12 @@ class TestModelParams:
         with pytest.raises(ValueError, match=f"^{field} must be a finite number, got True"):
             ModelParams(**values)
 
+    @pytest.mark.parametrize("field", ["omega", "omega0", "g"])
+    def test_rejects_an_int_past_the_float_range_by_name(self, field):
+        values = {"omega": 1.0, "omega0": 0.0, "g": 1.0, field: 10**400}
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number, got 1000"):
+            ModelParams(**values)
+
 
 def test_full_hamiltonian_diagonal_is_interaction_free():
     # the coupling term is purely off-diagonal, so diagonal entries carry

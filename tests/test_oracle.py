@@ -180,6 +180,15 @@ def test_compare_scenario_fits_n_max_n_plus_one(frame, n):
         compare_scenario(params, frame, n, grid, n_max=n)
 
 
+@pytest.mark.parametrize("eps", [1e4, 1e6, 1e8])
+def test_crf_observables_hold_at_zero_atomic_frequency(eps):
+    # omega0 = 0 drives the dressing cosine to -1, where 1 + c cancels
+    params = ModelParams.from_dimensionless(-eps / 2.0, eps)
+    assert params.omega0 == 0.0
+    report = compare_scenario(params, "crf", 5, np.linspace(0.0, 10.0, 50), n_max=6)
+    assert report.worst_obs_dev() <= 1e-12
+
+
 @pytest.mark.parametrize("frame", ["rf", "crf"])
 def test_compare_scenario_on_an_empty_grid(frame):
     report = compare_scenario(FIG_RF, frame, 0, [])

@@ -137,6 +137,12 @@ class TestExperimentConfig:
             ExperimentConfig.from_json(json.dumps({"frame": "rf", field: True}))
         assert err.value.field == field
 
+    @pytest.mark.parametrize("field", ["n", "steps", "n_max", "xi", "epsilon", "g", "tau_max"])
+    def test_an_int_past_the_float_range_is_rejected_by_name(self, field):
+        with pytest.raises(ConfigError, match="must be a finite number") as err:
+            ExperimentConfig(frame="rf", **{field: 10**400})
+        assert err.value.field == field
+
     def test_from_dict_coerces_integer_floats(self):
         cfg = ExperimentConfig.from_dict({"frame": "rf", "xi": 1, "tau_max": 10})
         assert isinstance(cfg.xi, float)
@@ -877,6 +883,8 @@ class TestVerifySuite:
         ({"tol": 0.0}, "tol"),
         ({"tol": True}, "tol"),
         ({"tol": "1e-9"}, "tol"),
+        ({"tol": 10**400}, "tol"),
+        ({"n_max": 10**400}, "n_max"),
     ],
 )
 def test_verify_suite_rejects_bad_arguments_by_name(kwargs, field):

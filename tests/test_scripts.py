@@ -86,3 +86,16 @@ def test_make_figures_rejects_a_bad_config_before_creating_the_directory(tmp_pat
     assert captured.err.startswith(f"config error: {field}: ")
     assert captured.out == ""
     assert not outdir.exists()
+
+
+def test_make_figures_reports_an_io_error_like_the_cli(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["make_figures.py", "--outdir", str(blocker / "x"), "--steps", "50"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "make_figures.py"), run_name="__main__")
+    assert exit_info.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
