@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBranchError, NullStateError
-from .hilbert import HilbertSpace, StateVector
+from .hilbert import HilbertSpace, StateVector, _times
 from .model import ModelParams
 
 __all__ = [
@@ -258,13 +258,6 @@ def initial_state(params: ModelParams, space: HilbertSpace, frame: str, n: int) 
     return StateVector(space, _eigenstate(params, space, spec, n, spec.sign)[0])
 
 
-def _as_time_array(t) -> np.ndarray:
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("times must be finite")
-    return arr
-
-
 def _evolve(params: ModelParams, space: HilbertSpace, family: str, amps0, tt) -> np.ndarray:
     """(T, d) evolution of amps0 over times tt: each nonzero bare component
     |atom, k> rotates inside its `family` doublet, with the phase
@@ -292,11 +285,10 @@ def _branch_series(
     over times tt; both stay unit norm and mutually orthogonal at every t."""
     spec = frame_spec(frame)
     _check_n(n)
-    unit = np.eye(space.dim)
-    top = _evolve(params, space, spec.family, unit[space.index(spec.top_atom, n)], tt)
+    top = _evolve(params, space, spec.family, np.eye(1, space.dim, space.index(spec.top_atom, n))[0], tt)
     if n == 0:
         return top, None
-    return top, _evolve(params, space, spec.family, unit[space.index(spec.bottom_atom, n - 1)], tt)
+    return top, _evolve(params, space, spec.family, np.eye(1, space.dim, space.index(spec.bottom_atom, n - 1))[0], tt)
 
 
 def evolve_series(
@@ -305,7 +297,7 @@ def evolve_series(
     """Closed-form frame state at every grid time, as a (T, d) amplitude array:
     `initial_state` evolved doublet by doublet; needs n_max >= n + 1, where the
     top component's partner sits, or `space.index` raises TruncationError."""
-    tt = _as_time_array(grid).reshape(-1)
+    tt = _times(grid).reshape(-1)
     spec = frame_spec(frame)
     return _evolve(params, space, spec.family, _eigenstate(params, space, spec, n, spec.sign)[0], tt)
 
@@ -313,7 +305,7 @@ def evolve_series(
 def _branch_states(
     params: ModelParams, space: HilbertSpace, frame: str, n: int, t: float
 ) -> tuple[StateVector, StateVector | None]:
-    top, bottom = _branch_series(params, space, frame, n, _as_time_array(t).reshape(1))
+    top, bottom = _branch_series(params, space, frame, n, _times(t).reshape(1))
     return (
         StateVector(space, top[0]),
         None if bottom is None else StateVector(space, bottom[0]),
@@ -363,7 +355,7 @@ def observables(params: ModelParams, frame: str, n: int, t) -> Observables:
 def _observables(params: ModelParams, frame: str, n: int, t) -> Observables:
     spec = FRAMES[frame]
     _check_n(n)
-    tt = _as_time_array(t)
+    tt = _times(t)
     r1, _, s1 = spec.doublet(params, spec.top_atom, n)
     top_factor = 1.0 - 2.0 * s1**2 * np.sin(r1 * tt) ** 2
     if n == 0:

@@ -52,13 +52,14 @@ class HilbertSpace:
         return 2 * (self.n_max + 1)
 
     def index(self, atom: str, n: int) -> int:
-        """Basis index of |atom, n> with atom in {'g', 'e'}."""
+        """Basis index of |atom, n>, the package's photon-number rule: a bool or
+        non-integer n raises ValueError, an integer outside 0..n_max TruncationError."""
         if atom not in ATOMS:
             raise ValueError(f"atom must be 'g' or 'e', got {atom!r}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if not 0 <= n <= self.n_max:
-            raise TruncationError(
-                f"photon number {n} outside truncated range 0..{self.n_max}"
-            )
+            raise TruncationError(f"photon number {n} outside truncated range 0..{self.n_max}")
         return 2 * n + (1 if atom == "e" else 0)
 
     def photon_numbers(self) -> np.ndarray:
@@ -280,40 +281,75 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(a.space, a.entries @ b.entries - b.entries @ a.entries)
 
 
-def _propagate(hamiltonian: OperatorMatrix, amps0: np.ndarray, times) -> np.ndarray:
-    """Rows exp(-i H t) psi0 for every t, from the operator's one eigendecomposition."""
+def _times(t) -> np.ndarray:
+    """Times as a float array; a NaN or infinite time raises ValueError."""
+    arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("times must be finite")
+    return arr
+
+
+def _propagate(hamiltonian: OperatorMatrix, psi0: StateVector, times) -> np.ndarray:
+    """Rows exp(-i H t) psi0 for every finite t, from the one eigendecomposition of a
+    hermitian-tagged H (never symmetrized) in psi0's space."""
+    if not hamiltonian.hermitian:
+        raise HermiticityError("propagation requires a hermitian-tagged operator")
+    _require_same_space(hamiltonian.space, psi0.space)
+    tt = _times(times)
     evals, vecs = hamiltonian._eigh
-    coeffs = vecs.conj().T @ amps0
-    return (np.exp(-1j * np.outer(times, evals)) * coeffs) @ vecs.T
+    return (np.exp(-1j * np.outer(tt, evals)) * (vecs.conj().T @ psi0.amps)) @ vecs.T
 
 
 def evolve_with(hamiltonian: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:
     """Propagate psi0 by exp(-i H t) through a Hermitian eigendecomposition.
 
-    Rejects operators without the hermitian tag rather than symmetrizing;
+    An untagged operator, another space or a non-finite t raises (`_propagate`);
     norm is preserved to roundoff. Calls on one operator share its single
     decomposition; for many times at once use `oracle.propagate_series`.
     """
-    if not hamiltonian.hermitian:
-        raise HermiticityError("evolve_with requires a hermitian-tagged operator")
-    _require_same_space(hamiltonian.space, psi0.space)
-    return StateVector(psi0.space, _propagate(hamiltonian, psi0.amps, [t])[0])
+    return StateVector(psi0.space, _propagate(hamiltonian, psi0, [t])[0])
+
+
+def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray]) -> dict[str, np.ndarray]:
+    """Expectation value of every named operator on every row of a (T, d) array.
+
+    An operator given as a real vector is a diagonal and scales each row,
+    O(T d); so does an OperatorMatrix whose entries are exactly diagonal.
+    An OperatorMatrix with an off-diagonal entry is applied to the whole
+    stack in one dense matrix product, O(T d^2) in BLAS. Every image goes
+    through the same row-wise reduction against the bras, formed once per
+    trajectory, so the diagonal path keeps the dense path's rounding. On
+    every path an imaginary residue above IMAG_TOL raises
+    NumericConsistencyError.
+    """
+    bra = amps.conj()
+    out = {}
+    for name, op in ops.items():
+        if isinstance(op, np.ndarray):
+            image = amps * op
+        elif (entries := op.entries).reshape(-1)[:-1].reshape(-1, entries.shape[0] + 1)[:, 1:].any():
+            # the flat matrix holds the off-diagonal entries between consecutive diagonal ones
+            image = amps @ entries.T
+        else:
+            image = amps * np.diagonal(entries)
+        values = np.einsum("ti,ti->t", bra, image)
+        residue = float(np.max(np.abs(values.imag), initial=0.0))
+        if residue > IMAG_TOL:
+            raise NumericConsistencyError(f"<{name}> has imaginary residue {residue:.3e}")
+        out[name] = values.real
+    return out
 
 
 def expectation(psi: StateVector, op: OperatorMatrix) -> float:
-    """Real expectation value <psi|op|psi> of a Hermitian operator.
+    """Real expectation value <psi|op|psi> of a Hermitian operator on a unit state.
 
-    The imaginary residue must sit below 1e-12 (it is pure roundoff for a
-    Hermitian operator); it is asserted and then discarded.
+    One row of `_expectations`: the imaginary residue must sit below
+    IMAG_TOL (it is pure roundoff for a Hermitian operator); it is asserted
+    and then discarded.
     """
     if not op.hermitian:
         raise HermiticityError("expectation requires a hermitian-tagged operator")
     _require_same_space(psi.space, op.space)
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NumericConsistencyError(f"state norm {psi.norm()!r} is not 1")
-    value = complex(np.vdot(psi.amps, op.entries @ psi.amps))
-    if abs(value.imag) > IMAG_TOL:
-        raise NumericConsistencyError(
-            f"expectation of a hermitian operator has imaginary residue {value.imag:.3e}"
-        )
-    return value.real
+    return float(_expectations(psi.amps[None, :], {"op": op})["op"][0])

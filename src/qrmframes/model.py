@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, OperatorMatrix, _dense, _terms
+from .hilbert import HilbertSpace, OperatorMatrix, _dense, _terms, _times
 
 __all__ = [
     "ModelParams",
@@ -184,10 +184,11 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
     Hamiltonian plus a counter-rotating term oscillating at 2 omega, and
     symmetrically for exp(-i omega t N_bar). t is a time or an array of
     times; returns the worst max-abs entrywise deviation over both frames
-    and all times, zero up to roundoff for any t and 0.0 for no times. The
-    term table is formed and the operators are built once; the times are
-    visited one by one so memory stays O(d^2).
+    and all times, zero up to roundoff for any finite t and 0.0 for no times.
+    The term table is formed and the operators are built once; the times
+    are visited one by one so memory stays O(d^2).
     """
+    tt = np.reshape(_times(t), -1)
     terms = _terms(space)
     h_rabi, h_rf, h_crf = (op.entries for op in _operators(params, space, terms, "rabi", "rf", "crf"))
     w, g = params.omega, params.g
@@ -196,7 +197,7 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
         (terms["n_ajc"][0], h_crf, _dense(space, terms["a_sp"]), _dense(space, terms["ad_sm"])),
     )
     devs = []
-    for tk in np.reshape(np.asarray(t, dtype=float), -1):
+    for tk in tt:
         slow, fast = np.exp(-2j * w * tk), np.exp(2j * w * tk)
         for numbers, h_eff, lowered, raised in splits:
             phases = np.exp(-1j * w * tk * numbers)

@@ -15,10 +15,12 @@ import numpy as np
 
 from .errors import HermiticityError, NumericConsistencyError
 from .hilbert import (
+    NORM_TOL,
     HilbertSpace,
     OperatorMatrix,
     StateVector,
     _dense,
+    _expectations,
     _propagate,
     _require_same_space,
     _terms,
@@ -77,13 +79,10 @@ class ComparisonReport:
 
 
 def _trajectory(hamiltonian: OperatorMatrix, psi0: StateVector, grid) -> np.ndarray:
-    """(T, d) amplitudes exp(-i H t) psi0 on every grid time, from one eigendecomposition."""
-    if not hamiltonian.hermitian:
-        raise HermiticityError("propagation requires a hermitian-tagged operator")
-    _require_same_space(hamiltonian.space, psi0.space)
-    if abs(psi0.norm() - 1.0) > 1e-10:
+    """(T, d) amplitudes exp(-i H t) psi0 on every grid time from a unit psi0 (`_propagate`)."""
+    if abs(psi0.norm() - 1.0) > NORM_TOL:
         raise NumericConsistencyError(f"initial norm {psi0.norm()!r} is not 1")
-    return _propagate(hamiltonian, psi0.amps, np.asarray(grid, dtype=float))
+    return _propagate(hamiltonian, psi0, grid)
 
 
 def propagate_series(
@@ -105,38 +104,6 @@ def standard_observables(space: HilbertSpace) -> dict[str, OperatorMatrix]:
     """
     t = _terms(space)
     return {name: OperatorMatrix(space, _dense(space, t[key]), hermitian=True) for name, key in _OBSERVABLE_TERMS.items()}
-
-
-def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray]) -> dict[str, np.ndarray]:
-    """Expectation value of every named operator on every row of a (T, d) array.
-
-    An operator given as a real vector is a diagonal and scales each row,
-    O(T d); so does an OperatorMatrix whose entries are exactly diagonal.
-    An OperatorMatrix with an off-diagonal entry is applied to the whole
-    stack in one dense matrix product, O(T d^2) in BLAS. Every image goes
-    through the same row-wise reduction against the bras, formed once per
-    trajectory, so the diagonal path keeps the dense path's rounding. On
-    every path an imaginary residue above 1e-12 raises
-    NumericConsistencyError.
-    """
-    bra = amps.conj()
-    out = {}
-    for name, op in ops.items():
-        if isinstance(op, np.ndarray):
-            image = amps * op
-        elif (entries := op.entries).reshape(-1)[:-1].reshape(-1, entries.shape[0] + 1)[:, 1:].any():
-            # the flat matrix holds the off-diagonal entries between consecutive diagonal ones
-            image = amps @ entries.T
-        else:
-            image = amps * np.diagonal(entries)
-        values = np.einsum("ti,ti->t", bra, image)
-        residue = float(np.max(np.abs(values.imag), initial=0.0))
-        if residue > 1e-12:
-            raise NumericConsistencyError(
-                f"<{name}> has imaginary residue {residue:.3e}"
-            )
-        out[name] = values.real
-    return out
 
 
 def observable_series(
@@ -215,8 +182,8 @@ def compare_scenario(
 
 def interior_projector(space: HilbertSpace, keep: int) -> np.ndarray:
     """Boolean mask of basis indices with photon number <= keep."""
-    if keep < 0 or keep > space.n_max:
-        raise ValueError(f"keep must lie in 0..{space.n_max}, got {keep}")
+    if isinstance(keep, bool) or not isinstance(keep, (int, np.integer)) or not 0 <= keep <= space.n_max:
+        raise ValueError(f"keep must be an integer in 0..{space.n_max}, got {keep!r}")
     return space.photon_numbers() <= keep
 
 

@@ -75,7 +75,8 @@ class ExperimentConfig:
     omega0 = delta + omega; tau_k = k * tau_max / (steps - 1). n_max is the
     photon truncation echoed for matrix cross-checks (closed forms never
     truncate); it must reach n + 1, where the evolved support ends. xi,
-    epsilon, g and tau_max are stored as Python floats once validated.
+    epsilon, g and tau_max are stored as Python floats once validated, and
+    `ModelParams` judges omega (reported against epsilon) and omega0 (xi).
     """
 
     frame: str
@@ -95,25 +96,20 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _finite(value) and not (name == "n_max" and value is None):
                 raise ConfigError(name, f"must be a finite number, got {value!r}")
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ConfigError("n", f"must be a non-negative integer, got {self.n!r}")
+        for name, least in (("n", 0), ("steps", 2), ("n_max", self.n + 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= least) and not (name == "n_max" and value is None):
+                raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
         for name in ("xi", "epsilon", "g", "tau_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon", f"must be > 0 so that omega > 0, got {self.epsilon!r}")
-        if self.g <= 0:
+        if self.g <= 0:  # first, so that omega = epsilon*g does not charge a bad g to epsilon
             raise ConfigError("g", f"must be > 0, got {self.g!r}")
-        if 2.0 * self.xi + self.epsilon < 0:
-            raise ConfigError("xi", "needs 2*xi + epsilon >= 0 so that omega0 >= 0")
+        try:
+            self.params()
+        except ValueError as exc:
+            raise ConfigError("xi" if str(exc).startswith("omega0") else "epsilon", f"derived {exc}") from exc
         if self.tau_max <= 0:
             raise ConfigError("tau_max", f"must be > 0, got {self.tau_max!r}")
-        if not isinstance(self.steps, int) or self.steps < 2:
-            raise ConfigError("steps", f"must be an integer >= 2, got {self.steps!r}")
-        if self.n_max is not None:
-            if not isinstance(self.n_max, int) or self.n_max < self.n + 1:
-                raise ConfigError(
-                    "n_max", f"must be an integer >= n + 1 = {self.n + 1}, got {self.n_max!r}"
-                )
         if not isinstance(self.outputs, (list, tuple)) or not all(isinstance(k, str) for k in self.outputs):
             raise ConfigError("outputs", f"must be a list of artifact kinds, got {self.outputs!r}")
         object.__setattr__(self, "outputs", tuple(self.outputs))

@@ -6,6 +6,7 @@ and cross-checked against dense diagonalization before being pinned.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -446,3 +447,54 @@ def test_eigenstates_equal_the_scalar_reference_exactly(family, sign, n, xi, eps
     amps, ref_energy = reference_eigenstate(params, space, family, n, sign)
     assert np.array_equal(state.amps, amps)
     assert energy == ref_energy
+
+
+def closed_form_spectrum(params, frame, n_max):
+    """Each frame Hamiltonian's spectrum from the doublet rule alone: the doublet
+    at the raised atom's |atom, k> has energies omega*m +- R with m = k + 1, for
+    k = 0..n_max-1; the photon-0 singleton and the bare state at the truncation
+    edge lie at their diagonal energies."""
+    spec = analytic.FRAMES[frame]
+    raised = "e" if spec.family == "jc" else "g"
+    w = params.omega
+    energies = []
+    for k in range(n_max):
+        rabi = spec.doublet(params, raised, k)[0]
+        energies += [w * (k + 1) - rabi, w * (k + 1) + rabi]
+    if frame == "rf":  # |g,0> and |e,n_max>
+        energies += [-params.delta / 2, w * (n_max + 1) + params.delta / 2]
+    else:  # |e,0> and |g,n_max>
+        energies += [params.delta_bar / 2, w * (n_max + 1) - params.delta_bar / 2]
+    return np.sort(energies)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 5, 30])
+@pytest.mark.parametrize(
+    "params",
+    [FIG_RF, FIG_CRF, ModelParams.from_dimensionless(-0.08, 0.16),
+     ModelParams.from_dimensionless(1e3, 1e3), ModelParams(1.7, 0.3, 0.9)],
+    ids=["fig-rf", "fig-crf", "omega0-zero", "xi-eps-1e3", "generic"],
+)
+def test_doublets_exhaust_each_frame_spectrum(params, n_max):
+    # claim (b) as a whole: every eigenvalue of each effective Hamiltonian is
+    # a doublet energy or one of its two singletons, and nothing else is
+    space = HilbertSpace(n_max)
+    for frame, h in zip(("rf", "crf"), build_effective(params, space)):
+        expected = closed_form_spectrum(params, frame, n_max)
+        found = np.linalg.eigvalsh(h.entries)
+        assert expected.shape == found.shape == (space.dim,)
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(found - expected)) <= bound, frame
+
+
+def test_branch_states_allocate_o_d_at_a_large_truncation():
+    space = HilbertSpace(2000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        top, bottom = rf_branch_states(FIG_RF, space, 5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(top.norm() - 1.0) <= 1e-12 and abs(bottom.norm() - 1.0) <= 1e-12
+    assert peak < 8 * 2**20, peak

@@ -204,3 +204,25 @@ def test_non_list_outputs_in_config_file_is_a_config_error(tmp_path, capsys, out
     assert code == 2
     assert "outputs" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--eps", "1e-200", "--g", "1e-200"], "epsilon"),  # omega = eps*g underflows to 0
+        (["--eps", "1e300", "--g", "1e300"], "epsilon"),  # omega overflows to inf
+        (["--xi", "1e308", "--g", "10"], "xi"),  # omega0 = 2*xi*g + omega overflows to inf
+    ],
+)
+def test_a_derived_frequency_out_of_range_is_a_config_error(tmp_path, flags, field):
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrmframes", "evolve", "--frame", "rf", *flags,
+         "--steps", "3", "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: {field}: derived omega")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

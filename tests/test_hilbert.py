@@ -1,6 +1,7 @@
 """Basis bookkeeping, operator arithmetic, and the dense propagator."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -306,3 +307,26 @@ def test_expectation_guards():
     stretched = StateVector(space, [2.0, 0.0, 0.0, 0.0])
     with pytest.raises(NumericConsistencyError):
         expectation(stretched, s_z)
+
+
+@pytest.mark.parametrize("n", [1.5, True, np.float64(1.0), "1"])
+def test_index_rejects_a_non_integer_photon_number(n):
+    space = HilbertSpace(3)
+    with pytest.raises(ValueError, match="^" + re.escape(f"n must be a non-negative integer, got {n!r}")):
+        space.index("e", n)
+    with pytest.raises(ValueError, match="^n must be a non-negative integer"):
+        basis_state(space, "e", n)
+
+
+@pytest.mark.parametrize("n", [-1, 4, np.int64(7)])
+def test_index_keeps_truncation_errors_for_integers_out_of_range(n):
+    with pytest.raises(TruncationError):
+        HilbertSpace(3).index("g", n)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_evolve_with_rejects_a_non_finite_time(t):
+    space = HilbertSpace(2)
+    h_rf, _ = build_effective(ModelParams(1.0, 0.5), space)
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        evolve_with(h_rf, basis_state(space, "e", 0), t)

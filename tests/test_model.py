@@ -419,3 +419,9 @@ def test_builders_equal_the_reference_over_the_domain(log_eps, lift, g, n_max):
         for op, expected in zip(ops, reference[kind], strict=True):
             assert op.hermitian, kind
             assert np.array_equal(op.entries, expected), kind
+
+
+@pytest.mark.parametrize("t", [[np.nan], [0.0, np.inf], np.nan])
+def test_frame_conjugation_check_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        frame_conjugation_check(FIG_RF, HilbertSpace(3), t)

@@ -440,3 +440,17 @@ def test_imaginary_diagonal_still_raises():
         observable_series(states, {"op": op})
     with pytest.raises(NumericConsistencyError, match="imaginary residue"):
         _expectations(np.stack([psi.amps for psi in states]), {"op": op})
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [0.0, 1.0, np.nan], [np.inf]])
+def test_propagate_series_rejects_a_non_finite_time(grid):
+    space = HilbertSpace(2)
+    h_rf, _ = build_effective(FIG_RF, space)
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        propagate_series(h_rf, basis_state(space, "e", 0), grid)
+
+
+@pytest.mark.parametrize("keep", [1.5, True, np.float64(1.0)])
+def test_interior_projector_rejects_a_non_integer_keep(keep):
+    with pytest.raises(ValueError, match="^keep must be an integer"):
+        interior_projector(HilbertSpace(4), keep)
