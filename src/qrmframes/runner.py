@@ -76,7 +76,8 @@ class ExperimentConfig:
     photon truncation echoed for matrix cross-checks (closed forms never
     truncate); it must reach n + 1, where the evolved support ends. xi,
     epsilon, g and tau_max are stored as Python floats once validated, and
-    `ModelParams` judges omega (reported against epsilon) and omega0 (xi).
+    `ModelParams` judges omega (reported against epsilon) and omega0 (xi);
+    the physical horizon tau_max / g must be finite (reported against tau_max).
     """
 
     frame: str
@@ -110,6 +111,8 @@ class ExperimentConfig:
             raise ConfigError("xi" if str(exc).startswith("omega0") else "epsilon", f"derived {exc}") from exc
         if self.tau_max <= 0:
             raise ConfigError("tau_max", f"must be > 0, got {self.tau_max!r}")
+        if not math.isfinite(self.tau_max / self.g):  # the physical horizon run_experiment evolves to
+            raise ConfigError("tau_max", f"over g must be finite, got {self.tau_max!r} / {self.g!r}")
         if not isinstance(self.outputs, (list, tuple)) or not all(isinstance(k, str) for k in self.outputs):
             raise ConfigError("outputs", f"must be a list of artifact kinds, got {self.outputs!r}")
         object.__setattr__(self, "outputs", tuple(self.outputs))
@@ -196,10 +199,56 @@ _DIGITS = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype=np.uin
 # 100*v < 1e5 is rounded once, by at most 2**-53 * 1e5 ~ 1.1e-11, so a product
 # whose fraction lies this far from 1/2 rounds to the same cents as the exact one
 _TIE_MARGIN = 1e-9
+_POW10 = np.array([float(10**k) for k in range(16)])  # exact in float64
+# a CSV cell, one row per character: the sign, then "0.000" of which the characters print
+# where e is below _LEAD_ROWS, then 12 digits with a point row after each but the last
+_CELL_ROWS = 29
+_LEAD = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+_LEAD_ROWS = np.array([[0], [0], [-1], [-2], [-3]], dtype=np.int8)
+_PLACES = np.arange(12, dtype=np.int8)[:, None]  # each digit row's place; a point row follows each of the first 11
+_COMPACT_ROWS = 4096  # per bytes.translate, which allocates its input's size: whole blocks raised the peak memory
 
 
 def _blocks(length: int):  # consecutive slices of at most CSV_BLOCK_ROWS rows or points
     return (slice(start, start + CSV_BLOCK_ROWS) for start in range(0, length, CSV_BLOCK_ROWS))
+
+
+def _cells(values: np.ndarray, text: np.ndarray) -> None:
+    """Write `"%.12g" % (v + 0.0)` of each value into its column of the (_CELL_ROWS, n) uint8 text, NUL where it prints nothing.
+
+    For 1e-4 <= |v| < 1e12, e = floor(log10|v|) in [-4, 11] makes m = |v| * 10**(11 - e)
+    one rounding (<= 2**-53 * 1e12 ~ 1.1e-4) from exact, so where q = rint(m) has 12 digits
+    and m lies 1e-3 or more from a tie, q is the significand `%` prints in fixed notation,
+    trailing zeros and a bare point stripped. `%` formats every other value (0, a smaller
+    or larger magnitude, a misjudged e, a near tie) alone.
+    """
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e12)  # False for nan
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -4, 11).astype(np.int8)
+    m = a * _POW10[11 - e]
+    q = np.rint(m)
+    fast &= (q >= 1e11) & (q < 1e12) & (np.abs(m - q) <= 0.5 - 1e-3)
+    high = np.floor(q / 1e6)
+    zeros = np.ones(len(values), dtype=bool)
+    last = np.full(len(values), 11, dtype=np.int8)  # the last nonzero digit
+    for first, x in ((6, (q - high * 1e6).astype(np.uint32)), (0, high.astype(np.uint32))):
+        for j in range(first + 5, first - 1, -1):
+            rest = x // 10
+            digit = x - rest * 10
+            np.add(digit, ord("0"), out=text[6 + 2 * j], casting="unsafe")
+            np.logical_and(zeros, digit == 0, out=zeros)
+            last -= zeros.view(np.int8)
+            x = rest
+    np.maximum(last, e, out=last)  # digits up to the units are kept
+    text[6::2] *= (_PLACES <= last).view(np.uint8)
+    np.multiply((_PLACES[:11] == np.where(last > e, e, -1)).view(np.uint8), ord("."), out=text[7::2])
+    np.multiply((values < 0).view(np.uint8), ord("-"), out=text[0])
+    np.multiply((e < _LEAD_ROWS).view(np.uint8), _LEAD, out=text[1:6])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = "".join([("%.12g" % v).ljust(_CELL_ROWS, "\0") for v in (values[slow] + 0.0).tolist()])
+        text[:, slow] = np.frombuffer(cells.encode("ascii"), dtype=np.uint8).reshape(-1, _CELL_ROWS).T
 
 
 def _svg_points(values: np.ndarray) -> str:
@@ -248,25 +297,37 @@ def emit_csv(bundle: TimeSeriesBundle, path: str | Path) -> Path:
     """Write the bundle as UTF-8 CSV with LF endings.
 
     Layout: one comment line echoing the config as JSON, the fixed header,
-    then one row per grid point with 12 significant digits. Every value
-    goes through CPython's `"%.12g" % (value + 0.0)` (the `+ 0.0` prints
-    -0.0 as 0): a column whose values all compare equal is converted once
-    into the row template, the others once per row, a block of
-    CSV_BLOCK_ROWS rows per `%` call. Rows are streamed; a failed write
-    leaves no file.
+    then one row per grid point with 12 significant digits. Every cell
+    holds the bytes of CPython's `"%.12g" % (value + 0.0)` (the `+ 0.0`
+    prints -0.0 as 0). A column whose values all compare equal is
+    converted once into the row template; the others take their digits
+    from numpy (`_cells`) where 1e-4 <= |value| < 1e12 and the 12-digit
+    rounding is not within 1e-3 of a tie, and from `%`, one value at a
+    time, elsewhere. Rows are streamed, one write per CSV_BLOCK_ROWS
+    rows; a failed write leaves no file.
     """
     columns = [np.asarray(col, dtype=float) for col in [bundle.tau] + [bundle.series[name] for name in COLUMNS]]
-    flat = [col.size > 0 and bool(np.all(col == col[0])) for col in columns]
-    row = ",".join("%.12g" % (col[0] + 0.0) if is_flat else "%.12g" for col, is_flat in zip(columns, flat)) + "\n"
-    varying = [col for col, is_flat in zip(columns, flat) if not is_flat]
+    template, varying = bytearray(), []
+    for col in columns:
+        if col.size > 0 and bool(np.all(col == col[0])):
+            template += b"%.12g," % (col[0] + 0.0)
+        else:
+            varying.append((col, len(template)))
+            template += bytes(_CELL_ROWS) + b","
+    template[-1:] = b"\n"
 
     def rows():
+        buffer = None
         for block in _blocks(len(columns[0])):
             length = len(columns[0][block])
-            values = np.empty((length, len(varying)))
-            for j, col in enumerate(varying):
-                np.add(col[block], 0.0, out=values[:, j])
-            yield row * length % tuple(values.ravel().tolist())
+            if buffer is None:  # 64 spare columns: a row stride of 16384 bytes made the transposing copy 8x slower
+                buffer = np.empty((len(template), length + 64), dtype=np.uint8)
+                buffer[:] = np.frombuffer(template, dtype=np.uint8)[:, None]
+            text = buffer[:, :length]
+            for col, row in varying:
+                _cells(col[block], text[row:row + _CELL_ROWS])
+            yield "".join([text[:, start:start + _COMPACT_ROWS].T.tobytes().translate(None, b"\0").decode("ascii")
+                           for start in range(0, length, _COMPACT_ROWS)])  # row-major, the NULs dropped
 
     header = f"# config: {bundle.config.to_json()}\n{CSV_HEADER}\n"
     return _write_text(path, chain([header], rows()))
@@ -654,12 +715,15 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
     check whose thunk raises TruncationError reads (inf, 0.0, "max<=") and
     fails with the note "truncation too small: ...", so a scenario that
     does not fit fails all 7 of its checks with one note. A tol that is not
-    a finite real > 0, or an n_max below 2, raises ConfigError.
+    a finite real > 0, or an n_max below 2 or past where a dense d x d
+    operator (d = 2 * (n_max + 1)) can be indexed, raises ConfigError.
     """
     if tol is not None and not (_finite(tol) and tol > 0):
         raise ConfigError("tol", f"must be a finite number > 0, got {tol!r}")
     if n_max is not None and (not isinstance(n_max, (int, np.integer)) or not _finite(n_max) or n_max < 2):
         raise ConfigError("n_max", f"must be an integer >= 2, got {n_max!r}")
+    if n_max is not None and (2 * (int(n_max) + 1)) ** 2 > np.iinfo(np.intp).max:
+        raise ConfigError("n_max", f"gives a dense dimension 2 * (n_max + 1) too large to index its square, got {n_max!r}")
     start = time.perf_counter()
     param_sets = {f"{frame}-params": ModelParams.from_dimensionless(xi, FIGURE_EPSILON) for frame, xi in FIGURE_XI.items()}
     rng = np.random.default_rng(1234567)

@@ -86,6 +86,21 @@ def test_config_int_past_the_float_range_is_a_config_error(tmp_path, capsys, fie
     assert not out.exists()
 
 
+def test_an_overflowing_physical_horizon_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["evolve", "--frame", "rf", "--tau-max", "1e308", "--g", "1e-10", "--steps", "3", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: tau_max: over g must be finite")
+    assert not out.exists()
+
+
+def test_verify_nmax_past_the_index_range_is_a_config_error(capsys):
+    assert main(["verify", "--nmax", str(10**30)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: n_max: ")
+    assert "overall" not in captured.out
+
+
 def test_malformed_config_file_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{broken", encoding="utf-8")

@@ -143,6 +143,12 @@ class TestExperimentConfig:
             ExperimentConfig(frame="rf", **{field: 10**400})
         assert err.value.field == field
 
+    def test_an_overflowing_physical_horizon_is_rejected_as_tau_max(self):
+        with pytest.raises(ConfigError, match="over g must be finite") as err:
+            ExperimentConfig(frame="rf", tau_max=1e308, g=1e-10, steps=3)
+        assert err.value.field == "tau_max"
+        assert ExperimentConfig(frame="rf", tau_max=1e308, g=1.0, steps=3).tau_max == 1e308
+
     def test_from_dict_coerces_integer_floats(self):
         cfg = ExperimentConfig.from_dict({"frame": "rf", "xi": 1, "tau_max": 10})
         assert isinstance(cfg.xi, float)
@@ -293,10 +299,12 @@ def assert_svg_points_match(path, bundle, column):
     assert head.endswith(b'<polyline fill="none" stroke="#1f77b4" stroke-width="1.2"')
 
 
-# -0.0, subnormal and extreme magnitudes, and values that round at the 12th digit
+# -0.0, subnormal and extreme magnitudes, values that round at the 12th digit,
+# and the edges of the domain where emit_csv forms the digits itself
 EDGE_VALUES = np.array([
     -0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1234567890125, 0.1234567890135,
     1.0000000000005, 9.9999999999995, 123456789012.5, 999999999999.5, 2.5e-5, -2.5,
+    1e-4, math.nextafter(1e-4, 0.0), 999999999999.4, math.nextafter(1e12, 0.0),
 ])
 
 
@@ -341,12 +349,15 @@ def points_reference(values):
     return " ".join(["%.2f,%.2f"] * (len(values) // 2)) % tuple(values)
 
 
-def near_tie(k, j):
-    """The float j ulps from (k + 0.5) / 100: a near-tie for %.2f."""
-    value = (k + 0.5) / 100
+def ulps_away(value, j):
     for _ in range(abs(j)):
         value = math.nextafter(value, math.copysign(math.inf, j))
     return value
+
+
+def near_tie(k, j):
+    """The float j ulps from (k + 0.5) / 100: a near-tie for %.2f."""
+    return ulps_away((k + 0.5) / 100, j)
 
 
 in_plot = st.one_of(
@@ -383,6 +394,55 @@ class TestSvgPoints:
     @given(st.lists(st.one_of(outside, st.floats()), min_size=1, max_size=20).map(lambda v: v + v[:len(v) % 2]))
     def test_any_float(self, values):
         assert runner._svg_points(np.array(values, dtype=np.float64)) == points_reference(values)
+
+
+def cells_reference(values):
+    return ["%.12g" % (v + 0.0) for v in values]
+
+
+def formatted_cells(values):
+    """The cells `runner._cells` lays out for values, read back column by column."""
+    text = np.full((runner._CELL_ROWS, len(values)), 0xFF, dtype=np.uint8)  # no stale byte may survive
+    runner._cells(np.array(values, dtype=np.float64), text)
+    return [bytes(column).replace(b"\0", b"").decode("ascii") for column in text.T]
+
+
+signs = st.sampled_from([1.0, -1.0])
+# the float j ulps from (q + 1/2) * 10**(e - 11): a near-tie for 12 significant digits
+cell_ties = st.builds(
+    lambda q, e, j, sign: sign * ulps_away((q + 0.5) * 10.0 ** (e - 11), j),
+    st.integers(10**11, 10**12 - 1), st.integers(-4, 11), st.integers(-8, 8), signs,
+)
+power_neighbours = st.builds(
+    lambda k, j, sign: sign * ulps_away(float(f"1e{k}"), j), st.integers(-5, 13), st.integers(-8, 8), signs,
+)
+in_domain = st.builds(
+    lambda exponent, sign: sign * 10.0**exponent, st.floats(min_value=-4.0, max_value=12.0, exclude_max=True), signs,
+)
+outside_domain = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e12, -1e12,
+                     math.nextafter(1e-4, 0.0), -math.nextafter(1e-4, 0.0)]),
+    st.floats(min_value=-1e-4, max_value=1e-4, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e12, allow_infinity=False),
+)
+
+
+class TestCsvCells:
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.one_of(cell_ties, power_neighbours), min_size=1, max_size=40))
+    def test_near_ties_and_powers_of_ten(self, values):
+        assert formatted_cells(values) == cells_reference(values)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(in_domain, min_size=1, max_size=40), st.data())
+    def test_one_value_outside_the_fast_domain(self, values, data):
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(outside_domain)
+        assert formatted_cells(values) == cells_reference(values)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert formatted_cells(values) == cells_reference(values)
 
 
 def bundle_with(tau, **series):
@@ -774,6 +834,13 @@ class TestVerifySuite:
         report = verify_suite(tol=1e-15)
         assert not report.passed
         assert any(not c.passed for c in report.checks)
+
+    @pytest.mark.parametrize("excess", [0, 10**30])
+    def test_an_n_max_past_the_index_range_is_a_config_error(self, excess):
+        least = math.isqrt(np.iinfo(np.intp).max) + 1  # the least dense dimension whose square cannot be indexed
+        with pytest.raises(ConfigError, match="too large to index") as err:
+            verify_suite(n_max=(least + 1) // 2 - 1 + excess)
+        assert err.value.field == "n_max"
 
     @pytest.mark.parametrize("n_max", [2, 5, 30])
     def test_small_truncation_surfaces_as_failed_checks(self, n_max):
