@@ -195,7 +195,6 @@ def run_experiment(config: ExperimentConfig) -> TimeSeriesBundle:
 # 4096-row blocks and by 3-7 MB with these
 CSV_BLOCK_ROWS = 16384
 _COPY_CHUNK = 1 << 16  # characters read per chunk when one CSV's bytes are copied to another file
-_DIGITS = np.frombuffer(b"".join(b"%03d" % i for i in range(1000)), dtype=np.uint8).reshape(1000, 3)
 # 100*v < 1e5 is rounded once, by at most 2**-53 * 1e5 ~ 1.1e-11, so a product
 # whose fraction lies this far from 1/2 rounds to the same cents as the exact one
 _TIE_MARGIN = 1e-9
@@ -213,14 +212,22 @@ def _blocks(length: int):  # consecutive slices of at most CSV_BLOCK_ROWS rows o
     return (slice(start, start + CSV_BLOCK_ROWS) for start in range(0, length, CSV_BLOCK_ROWS))
 
 
+def _digits(x: np.ndarray, rows: np.ndarray) -> None:
+    """Write x % 10**len(rows), x uint32, as ASCII digits into the uint8 rows (strided views too), most significant first."""
+    for row in rows[::-1]:
+        rest = x // 10
+        np.add(x - rest * 10, ord("0"), out=row, casting="unsafe")
+        x = rest
+
+
 def _cells(values: np.ndarray, text: np.ndarray) -> None:
     """Write `"%.12g" % (v + 0.0)` of each value into its column of the (_CELL_ROWS, n) uint8 text, NUL where it prints nothing.
 
     For 1e-4 <= |v| < 1e12, e = floor(log10|v|) in [-4, 11] makes m = |v| * 10**(11 - e)
     one rounding (<= 2**-53 * 1e12 ~ 1.1e-4) from exact, so where q = rint(m) has 12 digits
-    and m lies 1e-3 or more from a tie, q is the significand `%` prints in fixed notation,
-    trailing zeros and a bare point stripped. `%` formats every other value (0, a smaller
-    or larger magnitude, a misjudged e, a near tie) alone.
+    and m lies 1e-3 or more from a tie, q is the significand `%` prints in fixed notation
+    (`_digits` writes each 6-digit half), trailing zeros and a bare point stripped. `%`
+    formats every other value (0, a smaller or larger magnitude, a misjudged e, a near tie) alone.
     """
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1e12)  # False for nan
@@ -230,16 +237,12 @@ def _cells(values: np.ndarray, text: np.ndarray) -> None:
     q = np.rint(m)
     fast &= (q >= 1e11) & (q < 1e12) & (np.abs(m - q) <= 0.5 - 1e-3)
     high = np.floor(q / 1e6)
-    zeros = np.ones(len(values), dtype=bool)
-    last = np.full(len(values), 11, dtype=np.int8)  # the last nonzero digit
-    for first, x in ((6, (q - high * 1e6).astype(np.uint32)), (0, high.astype(np.uint32))):
-        for j in range(first + 5, first - 1, -1):
-            rest = x // 10
-            digit = x - rest * 10
-            np.add(digit, ord("0"), out=text[6 + 2 * j], casting="unsafe")
-            np.logical_and(zeros, digit == 0, out=zeros)
-            last -= zeros.view(np.int8)
-            x = rest
+    _digits(high.astype(np.uint32), text[6:18:2])
+    _digits((q - high * 1e6).astype(np.uint32), text[18::2])
+    zeros, last = np.ones(len(values), dtype=bool), np.full(len(values), 11, dtype=np.int8)  # last: the last nonzero digit
+    for row in text[28:5:-2]:
+        zeros &= row == ord("0")
+        last -= zeros
     np.maximum(last, e, out=last)  # digits up to the units are kept
     text[6::2] *= (_PLACES <= last).view(np.uint8)
     np.multiply((_PLACES[:11] == np.where(last > e, e, -1)).view(np.uint8), ord("."), out=text[7::2])
@@ -255,8 +258,8 @@ def _svg_points(values: np.ndarray) -> str:
     """`" ".join(["%.2f,%.2f"] * n) % tuple(values)` for float64 values x0, y0, x1, y1, ...
 
     Values in [10, 999.99) (so none rounds up to 1000.00) with no fraction
-    of 100*v within _TIE_MARGIN of 1/2 take their digits from _DIGITS;
-    a block holding any other value goes through `%` unchanged.
+    of 100*v within _TIE_MARGIN of 1/2 take their units and cents from
+    `_digits`; a block holding any other value goes through `%` unchanged.
     """
     fast = 10.0 <= values.min() and values.max() < 999.99  # False for nan and inf
     if fast:
@@ -266,17 +269,17 @@ def _svg_points(values: np.ndarray) -> str:
         fast = not np.any(np.abs(frac - 0.5) < _TIE_MARGIN)
     if not fast:
         return " ".join(["%.2f,%.2f"] * (len(values) // 2)) % tuple(values.tolist())
-    units, cents = np.divmod((whole + (frac > 0.5)).astype(np.int64), 100)
+    cents = (whole + (frac > 0.5)).astype(np.uint32)
     text = np.empty((len(values), 7), dtype=np.uint8)  # "ddd.dd" and a separator per value
-    text[:, :3] = _DIGITS[units]
+    _digits(cents // 100, text.T[0:3])
     text[:, 3] = ord(".")
-    text[:, 4:6] = _DIGITS[cents, 1:]
+    _digits(cents, text.T[4:6])
     text[0::2, 6] = ord(",")
     text[1::2, 6] = ord(" ")
     keep = np.ones(text.shape, dtype=bool)
-    keep[:, 0] = units >= 100  # the pad "0" of dd.dd
+    keep[:, 0] = cents >= 10000  # the pad "0" of dd.dd
     keep[-1, 6] = False
-    return text[keep].tobytes().decode("ascii")
+    return text[keep].tobytes().decode("ascii")  # not column-major translate, 2x faster: evolve-long peak RSS rose 62 -> 63-67 MB
 
 
 def _write_text(path: str | Path, chunks) -> Path:
@@ -287,6 +290,7 @@ def _write_text(path: str | Path, chunks) -> Path:
         with handle:  # closing flushes, so it may fail too
             for chunk in chunks:
                 handle.write(chunk)
+                del chunk  # else the generator forms the next chunk while this one is still alive
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -316,18 +320,14 @@ def emit_csv(bundle: TimeSeriesBundle, path: str | Path) -> Path:
             template += bytes(_CELL_ROWS) + b","
     template[-1:] = b"\n"
 
-    def rows():
-        buffer = None
+    def rows():  # 64 spare columns: a row stride of 16384 bytes made the transposing copy 8x slower
+        buffer = np.repeat(np.frombuffer(template, dtype=np.uint8)[:, None], min(len(columns[0]), CSV_BLOCK_ROWS) + 64, axis=1)
         for block in _blocks(len(columns[0])):
-            length = len(columns[0][block])
-            if buffer is None:  # 64 spare columns: a row stride of 16384 bytes made the transposing copy 8x slower
-                buffer = np.empty((len(template), length + 64), dtype=np.uint8)
-                buffer[:] = np.frombuffer(template, dtype=np.uint8)[:, None]
-            text = buffer[:, :length]
+            text = buffer[:, :len(columns[0][block])]
             for col, row in varying:
                 _cells(col[block], text[row:row + _CELL_ROWS])
             yield "".join([text[:, start:start + _COMPACT_ROWS].T.tobytes().translate(None, b"\0").decode("ascii")
-                           for start in range(0, length, _COMPACT_ROWS)])  # row-major, the NULs dropped
+                           for start in range(0, text.shape[1], _COMPACT_ROWS)])  # row-major, NULs dropped: 2.6x faster than a mask
 
     header = f"# config: {bundle.config.to_json()}\n{CSV_HEADER}\n"
     return _write_text(path, chain([header], rows()))

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -445,6 +446,25 @@ class TestCsvCells:
         assert formatted_cells(values) == cells_reference(values)
 
 
+class TestDigits:
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=40), st.booleans())
+    def test_rows_hold_the_low_digits(self, k, values, strided):
+        values = [0, 10**k - 1, 10**k, 2**32 - 1] + values
+        x = np.array(values, dtype=np.uint32)
+        if strided:  # columns of a row-major record, as the SVG writes them
+            target = np.full((len(values), k + 4), 0xFF, dtype=np.uint8)
+            rows, spare = target.T[1:1 + k], np.concatenate([target.T[:1], target.T[1 + k:]])
+        else:
+            target = np.full((k + 1, len(values)), 0xFF, dtype=np.uint8)
+            rows, spare = target[:k], target[k:]
+        runner._digits(x, rows)
+        assert [bytes(column).decode("ascii") for column in rows.T] == ["%0*d" % (k, v % 10**k) for v in values]
+        assert np.all(spare == 0xFF)
+        assert x.tolist() == values
+
+
 def bundle_with(tau, **series):
     """A bundle of varying columns on the grid tau, with the given columns replaced."""
     columns = {name: np.sin(tau * (k + 1)) / 3 for k, name in enumerate(COLUMNS)}
@@ -538,6 +558,28 @@ class TestCsvWriteFailure:
             emit_csv(run_experiment(ExperimentConfig(frame="rf", steps=4)), target)
         monkeypatch.undo()
         assert target.read_text(encoding="utf-8") == "user data\n"
+
+
+class _Chunk(str):
+    """A str that a weakref can follow."""
+
+
+def test_write_text_releases_each_chunk_once_written(tmp_path):
+    refs, alive = [], []
+
+    def chunk(k):
+        text = _Chunk(str(k) * 8192)  # from 8192 characters on, the text layer writes it through, not holding it pending
+        refs.append(weakref.ref(text))
+        return text
+
+    def chunks():
+        for k in range(4):
+            alive.append(sum(ref() is not None for ref in refs))
+            yield chunk(k)
+
+    path = runner._write_text(tmp_path / "chunks.txt", chunks())
+    assert alive == [0, 0, 0, 0]
+    assert path.read_text(encoding="utf-8") == "".join(str(k) * 8192 for k in range(4))
 
 
 def fail_writes_to(monkeypatch, name):
