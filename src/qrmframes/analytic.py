@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateBranchError, NullStateError
-from .hilbert import HilbertSpace, StateVector, _times
+from .hilbert import HilbertSpace, StateVector, _check_n, _times
 from .model import ModelParams
 
 __all__ = [
@@ -87,12 +87,6 @@ class Observables:
 
     def as_dict(self) -> dict[str, np.ndarray | float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _check_n(n, name: str = "n") -> None:
-    """Reject an index that is not a non-negative integer; bool is not one."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
 
 
 # per family, the atom whose doublet partner holds one photon more

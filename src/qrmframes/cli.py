@@ -96,11 +96,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def exit_code(command, args: argparse.Namespace) -> int:
-    """Run `command(args)` and return its exit code; a package or I/O error it
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code; a package or I/O error it
     raises is printed to stderr and mapped to the code the module docstring gives."""
+    args = build_parser().parse_args(argv)
     try:
-        return command(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -110,11 +111,6 @@ def exit_code(command, args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return exit_code(args.func, args)
 
 
 def entry_point() -> None:

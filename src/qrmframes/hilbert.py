@@ -37,6 +37,12 @@ NORM_TOL = 1e-10
 ATOMS = ("g", "e")
 
 
+def _check_n(n, name: str = "n") -> None:
+    """Reject an index that is not a non-negative integer; bool is not one."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Fock (x) qubit space keeping photon numbers 0..n_max."""
@@ -44,8 +50,7 @@ class HilbertSpace:
     n_max: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
-            raise ValueError(f"n_max must be a non-negative integer, got {self.n_max!r}")
+        _check_n(self.n_max, "n_max")
 
     @property
     def dim(self) -> int:

@@ -19,6 +19,7 @@ from .hilbert import (
     HilbertSpace,
     OperatorMatrix,
     StateVector,
+    _check_n,
     _dense,
     _expectations,
     _propagate,
@@ -142,7 +143,7 @@ def compare_scenario(
     passes when every deviation is within STATE_TOL / OBS_TOL.
     """
     spec = analytic.frame_spec(frame)
-    analytic._check_n(n)
+    _check_n(n)
     if n_max is None:
         n_max = n + 20
     space = HilbertSpace(n_max)

@@ -45,6 +45,8 @@ CSV_HEADER = "tau," + ",".join(COLUMNS)
 
 FIGURE_XI = {"rf": 0.0, "crf": 1.0 / 1.31}
 FIGURE_EPSILON = 0.16
+FIGURE_TAU_MAX = 50.0
+FIGURE_STEPS = 2000
 BEAT_FAST_CUTOFF = 2.0  # angular, per unit tau: `beat_modulation_period` masks the carrier above it
 
 # figure name -> (frame, n, reported column); the rotating-frame epsilon is
@@ -177,14 +179,11 @@ def run_experiment(config: ExperimentConfig) -> TimeSeriesBundle:
     params = config.params()
     tau = config.tau_grid()
     obs = analytic.observables(params, config.frame, config.n, tau / config.g)
-    series = {}
-    for name, values in obs.as_dict().items():
-        arr = np.broadcast_to(np.asarray(values, dtype=float), tau.shape).copy()
+    series = obs.as_dict()  # on a 1-d grid, fresh arrays of its shape
+    for name, arr in series.items():
         if not np.all(np.isfinite(arr)):
             raise NumericConsistencyError(f"column {name} contains non-finite values")
         arr.setflags(write=False)
-        series[name] = arr
-    tau = tau.copy()
     tau.setflags(write=False)
     return TimeSeriesBundle(config=config, tau=tau, series=series)
 
@@ -457,24 +456,17 @@ def emit_svg(bundle: TimeSeriesBundle, column: str, path: str | Path) -> Path:
     return _write_text(path, chain(["\n".join(parts)], points(), ['"/>\n</svg>\n']))
 
 
-def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 2000) -> dict:
+def reproduce_figures(outdir: str | Path) -> dict:
     """Emit the full figure set as CSV+SVG pairs plus a JSON manifest.
 
     Four scenarios cover the set: both frames at n = 0 and n = 40, with
     xi = 0 in the rotating frame and xi = 1/1.31 in the counter-rotating
-    frame, epsilon = 0.16 throughout. Returns the manifest dict.
+    frame, epsilon = 0.16 throughout, FIGURE_STEPS samples over
+    0 <= tau <= FIGURE_TAU_MAX. Returns the manifest dict.
 
     Panels of one scenario share its CSV: the first panel formats it, the
-    others copy those bytes. Every config is validated before the output
-    directory is touched, so a ConfigError writes nothing.
+    others copy those bytes.
     """
-    configs = {
-        (frame, n): ExperimentConfig(
-            frame=frame, n=n, xi=FIGURE_XI[frame], epsilon=FIGURE_EPSILON,
-            tau_max=tau_max, steps=steps, outputs=("csv", "svg"),
-        )
-        for _, frame, n, _ in FIGURE_SET
-    }
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     formatted: dict[tuple[str, int], tuple[TimeSeriesBundle, Path]] = {}
@@ -487,7 +479,10 @@ def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 20
             with source.open(encoding="utf-8", newline="") as handle:
                 _write_text(csv_path, iter(partial(handle.read, _COPY_CHUNK), ""))
         else:
-            bundle = run_experiment(configs[key])
+            bundle = run_experiment(ExperimentConfig(
+                frame=frame, n=n, xi=FIGURE_XI[frame], epsilon=FIGURE_EPSILON,
+                tau_max=FIGURE_TAU_MAX, steps=FIGURE_STEPS, outputs=("csv", "svg"),
+            ))
             formatted[key] = bundle, emit_csv(bundle, csv_path)
         svg_path = emit_svg(bundle, column, outdir / f"{name}.svg")
         entries.append({
@@ -502,7 +497,7 @@ def reproduce_figures(outdir: str | Path, tau_max: float = 50.0, steps: int = 20
             "csv": csv_path.name,
             "svg": svg_path.name,
         })
-    manifest = {"tau_max": tau_max, "steps": steps, "figures": entries}
+    manifest = {"tau_max": FIGURE_TAU_MAX, "steps": FIGURE_STEPS, "figures": entries}
     _write_text(outdir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return manifest
 

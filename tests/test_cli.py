@@ -159,6 +159,16 @@ def test_figures_subcommand(tmp_path, capsys):
     assert (tmp_path / "figs" / "manifest.json").exists()
 
 
+def test_figures_into_a_path_under_a_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["figures", "--outdir", str(blocker / "x")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_verify_failure_exit_code(capsys):
     code = main(["verify", "--nmax", "5"])
     assert code == 1

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,24 @@ class TestRunExperiment:
         bundle = run_experiment(ExperimentConfig(frame="rf", steps=4, tau_max=1.0))
         with pytest.raises(ConfigError):
             bundle.column("voltage")
+
+    def test_arrays_are_read_only_and_share_no_memory(self):
+        bundle = run_experiment(ExperimentConfig(frame="crf", n=40, steps=50))
+        arrays = [bundle.tau] + [bundle.column(name) for name in COLUMNS]
+        assert not any(arr.flags.writeable for arr in arrays)
+        assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
+
+    @pytest.mark.parametrize("frame", ["rf", "crf"])
+    def test_peak_memory_keeps_the_closed_form_columns(self, frame):
+        steps = 200_000
+        config = ExperimentConfig(frame=frame, n=40, steps=steps)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * steps * 8  # the six kept columns and the closed form's temporaries; a copy per column is 12
 
 
 class TestCsv:
@@ -628,7 +647,7 @@ class TestSvgAndManifestWriteFailure:
     def test_partial_manifest_is_removed(self, tmp_path, monkeypatch):
         fail_writes_to(monkeypatch, "manifest.json")
         with pytest.raises(OSError):
-            reproduce_figures(tmp_path, tau_max=5.0, steps=8)
+            reproduce_figures(tmp_path)
         assert (tmp_path / "fig14.svg").exists()
         assert not (tmp_path / "manifest.json").exists()
 
@@ -706,13 +725,13 @@ class TestSvg:
         assert not target.exists()
 
 
-def figure_set_reference(outdir, tau_max, steps):
+def figure_set_reference(outdir):
     """The figure set written panel by panel with the public emitters, one CSV format per panel."""
     outdir.mkdir()
     for name, frame, n, column in runner.FIGURE_SET:
         bundle = run_experiment(ExperimentConfig(
             frame=frame, n=n, xi=runner.FIGURE_XI[frame], epsilon=runner.FIGURE_EPSILON,
-            tau_max=tau_max, steps=steps, outputs=("csv", "svg"),
+            tau_max=runner.FIGURE_TAU_MAX, steps=runner.FIGURE_STEPS, outputs=("csv", "svg"),
         ))
         emit_csv(bundle, outdir / f"{name}.csv")
         emit_svg(bundle, column, outdir / f"{name}.svg")
@@ -721,7 +740,8 @@ def figure_set_reference(outdir, tau_max, steps):
 
 class TestFigureSet:
     def test_reproduce_figures_emits_all_pairs(self, tmp_path):
-        manifest = reproduce_figures(tmp_path, tau_max=10.0, steps=200)
+        manifest = reproduce_figures(tmp_path)
+        assert (manifest["tau_max"], manifest["steps"]) == (50.0, 2000)
         names = [entry["name"] for entry in manifest["figures"]]
         assert names == [f"fig{k:02d}" for k in range(1, 15)]
         for entry in manifest["figures"]:
@@ -731,14 +751,14 @@ class TestFigureSet:
         assert on_disk == manifest
 
     def test_constant_reference_figures(self, tmp_path):
-        reproduce_figures(tmp_path, tau_max=10.0, steps=100)
+        reproduce_figures(tmp_path)
         fig03 = read_csv(tmp_path / "fig03.csv")
         assert np.all(fig03.column("n_jc") == 1.0)
         fig10 = read_csv(tmp_path / "fig10.csv")
         assert np.all(fig10.column("n_ajc") == 2.0)
 
     def test_rotating_frame_epsilon_is_flagged_assumed(self, tmp_path):
-        manifest = reproduce_figures(tmp_path, tau_max=5.0, steps=50)
+        manifest = reproduce_figures(tmp_path)
         for entry in manifest["figures"]:
             assert entry["epsilon_assumed"] == (entry["frame"] == "rf")
             assert entry["epsilon"] == 0.16
@@ -746,21 +766,19 @@ class TestFigureSet:
             assert entry["xi"] == expected_xi
 
     def test_scenario_coverage(self, tmp_path):
-        manifest = reproduce_figures(tmp_path, tau_max=5.0, steps=50)
+        manifest = reproduce_figures(tmp_path)
         combos = {(e["frame"], e["n"]) for e in manifest["figures"]}
         assert combos == {("rf", 0), ("rf", 40), ("crf", 0), ("crf", 40)}
 
-    @pytest.mark.parametrize("steps", [50, 2 * CSV_BLOCK_ROWS + 1])
-    def test_equals_the_per_panel_emitters_byte_for_byte(self, tmp_path, steps):
+    def test_equals_the_per_panel_emitters_byte_for_byte(self, tmp_path):
         written = tmp_path / "set"
-        reproduce_figures(written, tau_max=20.0, steps=steps)
-        reference = figure_set_reference(tmp_path / "ref", 20.0, steps)
+        reproduce_figures(written)
+        reference = figure_set_reference(tmp_path / "ref")
         names = sorted(path.name for path in reference.iterdir())
         assert sorted(path.name for path in written.iterdir()) == sorted(names + ["manifest.json"])
         for name in names:
             assert (written / name).read_bytes() == (reference / name).read_bytes(), name
-        if steps > 2 * CSV_BLOCK_ROWS:  # the copied siblings span several read chunks
-            assert (reference / "fig02.csv").stat().st_size > 2 * runner._COPY_CHUNK
+        assert (reference / "fig02.csv").stat().st_size > 2 * runner._COPY_CHUNK  # the copied siblings span several read chunks
 
     def test_each_scenario_formats_its_csv_once(self, tmp_path, monkeypatch):
         formatted = []
@@ -771,22 +789,15 @@ class TestFigureSet:
             return real_emit_csv(bundle, path)
 
         monkeypatch.setattr(runner, "emit_csv", counting)
-        reproduce_figures(tmp_path, tau_max=5.0, steps=50)
+        reproduce_figures(tmp_path)
         assert formatted == ["fig01.csv", "fig05.csv", "fig08.csv", "fig12.csv"]
-
-    @pytest.mark.parametrize("kwargs", [{"steps": 1}, {"tau_max": math.nan}])
-    def test_bad_config_touches_no_disk(self, tmp_path, kwargs):
-        outdir = tmp_path / "figs"
-        with pytest.raises(ConfigError):
-            reproduce_figures(outdir, **kwargs)
-        assert not outdir.exists()
 
     def test_failed_sibling_copy_removes_only_its_file(self, tmp_path, monkeypatch):
         fail_writes_to(monkeypatch, "fig02.csv")
         with pytest.raises(OSError):
-            reproduce_figures(tmp_path / "set", tau_max=5.0, steps=50)
+            reproduce_figures(tmp_path / "set")
         monkeypatch.undo()
-        reference = figure_set_reference(tmp_path / "ref", 5.0, 50)
+        reference = figure_set_reference(tmp_path / "ref")
         assert not (tmp_path / "set" / "fig02.csv").exists()
         assert (tmp_path / "set" / "fig01.csv").read_bytes() == (reference / "fig01.csv").read_bytes()
 
@@ -809,7 +820,7 @@ class TestFigureSet:
 
         monkeypatch.setattr(Path, "open", refuse_fig02)
         with pytest.raises(PermissionError):
-            reproduce_figures(tmp_path, tau_max=5.0, steps=50)
+            reproduce_figures(tmp_path)
         monkeypatch.undo()
         assert target.read_text(encoding="utf-8") == "user data\n"
         assert (tmp_path / "fig01.csv").exists()

@@ -1,5 +1,5 @@
-"""The scripts under scripts/: the beat-envelope scan, loaded without running
-its command line, and the figure regeneration, run as a program."""
+"""The beat-envelope scan under scripts/, loaded without running its command
+line and run as a program."""
 
 import argparse
 import csv
@@ -63,39 +63,3 @@ def test_scan_main_rejects_a_photon_number_below_two(monkeypatch, capsys):
         runpy.run_path(str(SCAN), run_name="__main__")
     assert exit_info.value.code == 2
     assert "need n >= 2" in capsys.readouterr().err
-
-
-def test_make_figures_writes_the_figure_set(tmp_path, monkeypatch, capsys):
-    outdir = tmp_path / "figs"
-    monkeypatch.setattr(sys, "argv", ["make_figures.py", "--outdir", str(outdir), "--steps", "50"])
-    runpy.run_path(str(SCRIPTS / "make_figures.py"), run_name="__main__")
-    names = sorted(path.name for path in outdir.iterdir())
-    assert names == sorted([f"fig{k:02d}.{ext}" for k in range(1, 15) for ext in ("csv", "svg")] + ["manifest.json"])
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last == f"14 figure pairs and manifest.json in {outdir}"
-
-
-@pytest.mark.parametrize("option, value, field", [("--steps", "1", "steps"), ("--tau-max", "nan", "tau_max")])
-def test_make_figures_rejects_a_bad_config_before_creating_the_directory(tmp_path, monkeypatch, capsys, option, value, field):
-    outdir = tmp_path / "figs"
-    monkeypatch.setattr(sys, "argv", ["make_figures.py", "--outdir", str(outdir), option, value])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / "make_figures.py"), run_name="__main__")
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"config error: {field}: ")
-    assert captured.out == ""
-    assert not outdir.exists()
-
-
-def test_make_figures_reports_an_io_error_like_the_cli(tmp_path, monkeypatch, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("", encoding="utf-8")
-    monkeypatch.setattr(sys, "argv", ["make_figures.py", "--outdir", str(blocker / "x"), "--steps", "50"])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / "make_figures.py"), run_name="__main__")
-    assert exit_info.value.code == 3
-    captured = capsys.readouterr()
-    assert captured.err.startswith("i/o error: ")
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
