@@ -3,7 +3,8 @@ run the verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration
 (including a verify --tol that is not a finite number > 0, or a --nmax
-below 2 or too large to index a dense operator), 3 I/O error, 4 numerical error (a consistency, truncation or
+below 2 or whose dense operator cannot be indexed or exceeds physical
+memory), 3 I/O error, 4 numerical error (a consistency, truncation or
 Hermiticity check failed while computing).
 """
 

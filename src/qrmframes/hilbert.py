@@ -130,9 +130,11 @@ def _is_real_scalar(value) -> bool:
 class OperatorMatrix:
     """Dense square operator with an enforced Hermitian tag.
 
-    Setting hermitian=True asserts max |M - M^dag| <= 1e-13 entrywise at
-    construction and unlocks the Hermitian-only routines (`evolve_with`,
-    `expectation`). Products drop the tag; sums and real scalings keep it.
+    Entries are stored complex. Setting hermitian=True asserts
+    max |M - M^dag| <= 1e-13 entrywise at construction and unlocks the
+    Hermitian-only routines (`evolve_with`, `expectation`). Products drop the
+    tag; sums and real scalings keep it. Entries with no imaginary part (every
+    Hamiltonian of the model) are decomposed and propagated in real arithmetic.
     """
 
     space: HilbertSpace
@@ -200,7 +202,10 @@ class OperatorMatrix:
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.entries)
+        """(evals, vecs) of the entries; real symmetric entries (no imaginary part at all)
+        take the real solver and give real vecs, any other the complex one."""
+        entries = self.entries
+        return np.linalg.eigh(entries if entries.imag.any() else entries.real)
 
 
 def basis_state(space: HilbertSpace, atom: str, n: int) -> StateVector:
@@ -294,15 +299,34 @@ def _times(t) -> np.ndarray:
     return arr
 
 
+def _evolve_eigen(evals: np.ndarray, vecs: np.ndarray, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """C-contiguous (T, d) rows exp(-i E t) (vecs^dag amps0) vecs^T, i.e. exp(-i H t) amps0
+    for H = vecs diag(evals) vecs^dag, at every time of a float array.
+
+    Complex vecs take one complex matrix product. Real vecs project amps0 in real
+    arithmetic, take the phases from cos and sin in a (d, T) block and apply vecs in
+    one real matrix product on its float64 view.
+    """
+    if np.iscomplexobj(vecs):
+        return (np.exp(-1j * np.outer(times, evals)) * (vecs.conj().T @ amps0)) @ vecs.T
+    coeffs = vecs.T @ amps0.real + 1j * (vecs.T @ amps0.imag)
+    angles = np.outer(evals, times)
+    block = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=block.real)
+    np.negative(np.sin(angles, out=block.imag), out=block.imag)
+    block *= coeffs[:, None]
+    return np.ascontiguousarray((vecs @ block.view(np.float64)).view(np.complex128).T)
+
+
 def _propagate(hamiltonian: OperatorMatrix, psi0: StateVector, times) -> np.ndarray:
-    """Rows exp(-i H t) psi0 for every finite t, from the one eigendecomposition of a
-    hermitian-tagged H (never symmetrized) in psi0's space."""
+    """Rows exp(-i H t) psi0 for every finite t (`_evolve_eigen`), from the one
+    eigendecomposition of a hermitian-tagged H (never symmetrized) in psi0's space;
+    a real H propagates in real arithmetic."""
     if not hamiltonian.hermitian:
         raise HermiticityError("propagation requires a hermitian-tagged operator")
     _require_same_space(hamiltonian.space, psi0.space)
     tt = _times(times)
-    evals, vecs = hamiltonian._eigh
-    return (np.exp(-1j * np.outer(tt, evals)) * (vecs.conj().T @ psi0.amps)) @ vecs.T
+    return _evolve_eigen(*hamiltonian._eigh, psi0.amps, tt)
 
 
 def evolve_with(hamiltonian: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:
@@ -318,26 +342,32 @@ def evolve_with(hamiltonian: OperatorMatrix, psi0: StateVector, t: float) -> Sta
 def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray]) -> dict[str, np.ndarray]:
     """Expectation value of every named operator on every row of a (T, d) array.
 
-    An operator given as a real vector is a diagonal and scales each row,
-    O(T d); so does an OperatorMatrix whose entries are exactly diagonal.
-    An OperatorMatrix with an off-diagonal entry is applied to the whole
-    stack in one dense matrix product, O(T d^2) in BLAS. Every image goes
-    through the same row-wise reduction against the bras, formed once per
-    trajectory, so the diagonal path keeps the dense path's rounding. On
-    every path an imaginary residue above IMAG_TOL raises
-    NumericConsistencyError.
+    An operator given as a vector is a diagonal, and so is an OperatorMatrix
+    whose entries are exactly diagonal. A real diagonal (no imaginary part)
+    is read as populations @ diagonal, O(T d) in real arithmetic, from the
+    populations |amps|^2 formed once per trajectory. Any other operator goes
+    through the row-wise complex reduction against the bras: an off-diagonal
+    one after one dense matrix product, O(T d^2) in BLAS, an imaginary
+    diagonal after scaling each row. There an imaginary residue above
+    IMAG_TOL raises NumericConsistencyError.
     """
-    bra = amps.conj()
+    populations = None
     out = {}
     for name, op in ops.items():
         if isinstance(op, np.ndarray):
-            image = amps * op
+            diagonal = op
         elif (entries := op.entries).reshape(-1)[:-1].reshape(-1, entries.shape[0] + 1)[:, 1:].any():
             # the flat matrix holds the off-diagonal entries between consecutive diagonal ones
-            image = amps @ entries.T
+            diagonal = None
         else:
-            image = amps * np.diagonal(entries)
-        values = np.einsum("ti,ti->t", bra, image)
+            diagonal = np.diagonal(entries)
+        if diagonal is not None and not (np.iscomplexobj(diagonal) and diagonal.imag.any()):
+            if populations is None:
+                populations = amps.real**2 + amps.imag**2
+            out[name] = populations @ np.ascontiguousarray(diagonal.real)
+            continue
+        image = amps @ entries.T if diagonal is None else amps * diagonal
+        values = np.einsum("ti,ti->t", amps.conj(), image)
         residue = float(np.max(np.abs(values.imag), initial=0.0))
         if residue > IMAG_TOL:
             raise NumericConsistencyError(f"<{name}> has imaginary residue {residue:.3e}")
@@ -348,9 +378,10 @@ def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray])
 def expectation(psi: StateVector, op: OperatorMatrix) -> float:
     """Real expectation value <psi|op|psi> of a Hermitian operator on a unit state.
 
-    One row of `_expectations`: the imaginary residue must sit below
-    IMAG_TOL (it is pure roundoff for a Hermitian operator); it is asserted
-    and then discarded.
+    One row of `_expectations`: a real diagonal is read from the populations;
+    for any other operator the imaginary residue must sit below IMAG_TOL (it
+    is pure roundoff for a Hermitian operator); it is asserted and then
+    discarded.
     """
     if not op.hermitian:
         raise HermiticityError("expectation requires a hermitian-tagged operator")

@@ -113,8 +113,9 @@ def observable_series(
     """Expectation value of every named operator on every state.
 
     The states are stacked into one (T, d) array. An operator with exactly
-    diagonal entries (all of `standard_observables`) scales it by the diagonal,
-    O(T d); any other costs one dense matrix product, O(T d^2) in BLAS.
+    diagonal real entries (all of `standard_observables`) is read from the
+    populations |amps|^2, formed once, in one real product, O(T d); any other
+    costs one dense matrix product, O(T d^2) in BLAS (`hilbert._expectations`).
     As in `expectation`, an untagged operator or a foreign space raises.
     """
     if untagged := [name for name, op in ops.items() if not op.hermitian]:

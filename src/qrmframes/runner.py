@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, fields
 from functools import cache, partial
@@ -695,6 +696,15 @@ def _eigenstate_checks(param_sets, n_max, rng):
         yield f"branch orthonormality {tag}", "max<=", 1e-12, orthonormality
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where `os.sysconf` does not report them."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return memory if memory > 0 else math.inf
+
+
 def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyReport:
     """Run every module invariant and return the per-check report.
 
@@ -710,15 +720,20 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
     check whose thunk raises TruncationError reads (inf, 0.0, "max<=") and
     fails with the note "truncation too small: ...", so a scenario that
     does not fit fails all 7 of its checks with one note. A tol that is not
-    a finite real > 0, or an n_max below 2 or past where a dense d x d
-    operator (d = 2 * (n_max + 1)) can be indexed, raises ConfigError.
+    a finite real > 0, an n_max below 2, or an n_max whose dense complex
+    d x d operator (d = 2 * (n_max + 1), 16 d^2 bytes) cannot be indexed or
+    exceeds physical memory raises ConfigError before anything is built.
+    The memory rule is skipped where `os.sysconf` does not report it.
     """
     if tol is not None and not (_finite(tol) and tol > 0):
         raise ConfigError("tol", f"must be a finite number > 0, got {tol!r}")
     if n_max is not None and (not isinstance(n_max, (int, np.integer)) or not _finite(n_max) or n_max < 2):
         raise ConfigError("n_max", f"must be an integer >= 2, got {n_max!r}")
-    if n_max is not None and (2 * (int(n_max) + 1)) ** 2 > np.iinfo(np.intp).max:
+    if n_max is not None and (square := (2 * (int(n_max) + 1)) ** 2) > np.iinfo(np.intp).max:
         raise ConfigError("n_max", f"gives a dense dimension 2 * (n_max + 1) too large to index its square, got {n_max!r}")
+    if n_max is not None and 16 * square > (memory := _physical_memory()):
+        raise ConfigError("n_max", f"needs {16 * square:.3g} bytes for one dense complex operator, "
+                                   f"more than the {memory:.3g} bytes of physical memory, got {n_max!r}")
     start = time.perf_counter()
     param_sets = {f"{frame}-params": ModelParams.from_dimensionless(xi, FIGURE_EPSILON) for frame, xi in FIGURE_XI.items()}
     rng = np.random.default_rng(1234567)

@@ -22,6 +22,7 @@ from qrmframes import (
     identity,
     qubit_operators,
 )
+from qrmframes.hilbert import _propagate
 from qrmframes.model import ModelParams, build_effective, build_number_ops
 
 
@@ -330,3 +331,35 @@ def test_evolve_with_rejects_a_non_finite_time(t):
     h_rf, _ = build_effective(ModelParams(1.0, 0.5), space)
     with pytest.raises(ValueError, match="^times must be finite$"):
         evolve_with(h_rf, basis_state(space, "e", 0), t)
+
+
+def test_eigh_is_real_for_real_entries_and_complex_otherwise():
+    rng = np.random.default_rng(5)
+    space = HilbertSpace(4)
+    raw = rng.standard_normal((space.dim, space.dim))
+    real = OperatorMatrix(space, raw + raw.T, hermitian=True)
+    imag = 1j * rng.standard_normal((space.dim, space.dim))
+    complex_ = OperatorMatrix(space, real.entries + imag - imag.T, hermitian=True)
+    assert real._eigh[1].dtype == np.float64
+    assert complex_._eigh[1].dtype == np.complex128
+    for op in (real, complex_):
+        evals, vecs = op._eigh
+        assert np.max(np.abs(op.entries @ vecs - vecs * evals)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [20, 70])  # d = 42 and 142
+def test_real_propagation_matches_the_complex_decomposition(n_max):
+    rng = np.random.default_rng(n_max)
+    space = HilbertSpace(n_max)
+    raw = rng.standard_normal((space.dim, space.dim))
+    h_rf, h_crf = build_effective(ModelParams.from_dimensionless(0.3, 0.16), space)
+    amps0 = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi0 = StateVector(space, amps0 / np.linalg.norm(amps0))
+    times = np.linspace(0.0, 25.0, 200)
+    for h in (h_rf, h_crf, OperatorMatrix(space, 0.5 * (raw + raw.T), hermitian=True)):
+        assert not np.any(h.entries.imag)
+        evals, vecs = np.linalg.eigh(h.entries)  # the complex solver on the same entries
+        reference = (np.exp(-1j * np.outer(times, evals)) * (vecs.conj().T @ psi0.amps)) @ vecs.T
+        rows = _propagate(h, psi0, times)
+        assert rows.dtype == np.complex128 and rows.flags.c_contiguous
+        assert np.max(np.abs(rows - reference)) <= 1e-13

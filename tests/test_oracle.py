@@ -413,6 +413,20 @@ def test_diagonal_observables_match_the_dense_product():
         assert np.max(np.abs(series[name] - [expectation(psi, op) for psi in states])) <= 1e-13
 
 
+def test_a_real_diagonal_reads_the_same_as_a_vector_or_an_operator():
+    rng = np.random.default_rng(17)
+    space = HilbertSpace(9)
+    stack = np.stack([psi.amps for psi in _random_states(rng, space, 30)])
+    ops = standard_observables(space)
+    as_vectors = _expectations(stack, {name: np.diag(op.entries).real.copy() for name, op in ops.items()})
+    as_operators = _expectations(stack, ops)
+    for name, op in ops.items():
+        assert as_vectors[name].dtype == np.float64
+        assert np.array_equal(as_vectors[name], as_operators[name])
+        dense = np.einsum("ti,ti->t", stack.conj(), stack * np.diag(op.entries)).real
+        assert np.max(np.abs(as_vectors[name] - dense)) <= 1e-13
+
+
 @pytest.mark.parametrize("row,col", [(0, 1), (2, 5), (0, 15), (14, 15)])
 def test_one_off_diagonal_pair_takes_the_dense_path(row, col):
     rng = np.random.default_rng(11)
@@ -438,8 +452,9 @@ def test_imaginary_diagonal_still_raises():
     states = _random_states(rng, space, 4)
     with pytest.raises(HermiticityError):
         observable_series(states, {"op": op})
-    with pytest.raises(NumericConsistencyError, match="imaginary residue"):
-        _expectations(np.stack([psi.amps for psi in states]), {"op": op})
+    for diagonal in (op, np.diag(op.entries)):
+        with pytest.raises(NumericConsistencyError, match="imaginary residue"):
+            _expectations(np.stack([psi.amps for psi in states]), {"op": diagonal})
 
 
 @pytest.mark.parametrize("grid", [[np.nan], [0.0, 1.0, np.nan], [np.inf]])

@@ -898,6 +898,27 @@ class TestVerifySuite:
             verify_suite(n_max=(least + 1) // 2 - 1 + excess)
         assert err.value.field == "n_max"
 
+    def test_an_n_max_past_physical_memory_is_a_config_error(self, monkeypatch):
+        if runner._physical_memory() == math.inf:
+            pytest.skip("os.sysconf does not report physical memory here")
+
+        def no_space(n_max):
+            raise AssertionError(f"built a space at n_max = {n_max}")
+
+        monkeypatch.setattr(runner, "HilbertSpace", no_space)  # nothing is allocated if the guard fails
+        # one dense complex operator at n_max = 1e7 needs 16 * (2e7 + 2)^2 bytes, about 6.4 PB
+        with pytest.raises(ConfigError, match="physical memory") as err:
+            verify_suite(n_max=10**7)
+        assert err.value.field == "n_max"
+
+    @pytest.mark.parametrize("error", [ValueError, AttributeError])
+    def test_physical_memory_is_unbounded_where_sysconf_does_not_report_it(self, monkeypatch, error):
+        def missing(name):
+            raise error(name)
+
+        monkeypatch.setattr(runner.os, "sysconf", missing, raising=False)
+        assert runner._physical_memory() == math.inf
+
     @pytest.mark.parametrize("n_max", [2, 5, 30])
     def test_small_truncation_surfaces_as_failed_checks(self, n_max):
         report = verify_suite(n_max=n_max)
@@ -922,11 +943,12 @@ class TestVerifySuite:
         assert scenario[0].note.startswith("truncation too small: ")
 
     def test_one_eigendecomposition_per_hamiltonian(self, monkeypatch):
-        shapes = []
+        shapes, real = [], []
         real_eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
             shapes.append(np.shape(a))
+            real.append(np.isrealobj(a))
             return real_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -935,6 +957,8 @@ class TestVerifySuite:
         # widened; the composition check reuses the first decomposition
         assert len(shapes) == 16
         assert len(set(shapes)) == 8
+        # H_rf and H_crf are real symmetric in the Fock basis, so each takes the real solver
+        assert all(real)
 
     def test_state_objects_per_default_run(self, monkeypatch):
         built = []
