@@ -1,10 +1,13 @@
-"""Truncated Fock (x) qubit Hilbert space as dense complex matrices.
+"""Truncated Fock (x) qubit Hilbert space as dense matrices: the oracle's kernel.
 
 Basis convention: |atom, n> sits at index 2*n + (1 if atom == 'e' else 0),
 with photon numbers 0..n_max, so tightening or relaxing the truncation only
 removes or appends trailing rows and columns. All frequencies are angular
 with hbar = 1. States and operators are dense arrays, formed from an O(d)
-table of banded terms (`_terms`) only where an operator is built.
+table of banded terms (`_terms`) only where an operator is built. States are
+complex; an operator is stored float64 when its input is real (every operator
+of the model) and complex128 otherwise, and that dtype alone decides where
+decomposition, propagation and expectation values run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -113,28 +116,16 @@ class StateVector:
     def amplitude(self, atom: str, n: int) -> complex:
         return complex(self.amps[self.space.index(atom, n)])
 
-    def normalized(self) -> StateVector:
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.space, self.amps / nrm)
-
-
-def _is_real_scalar(value) -> bool:
-    return isinstance(value, (int, float, np.integer, np.floating)) or (
-        isinstance(value, (complex, np.complexfloating)) and value.imag == 0.0
-    )
-
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense square operator with an enforced Hermitian tag.
 
-    Entries are stored complex. Setting hermitian=True asserts
-    max |M - M^dag| <= 1e-13 entrywise at construction and unlocks the
-    Hermitian-only routines (`evolve_with`, `expectation`). Products drop the
-    tag; sums and real scalings keep it. Entries with no imaginary part (every
-    Hamiltonian of the model) are decomposed and propagated in real arithmetic.
+    Entries are stored float64 when the input is real and complex128 when it
+    is complex; the dtype is the one record of whether the operator is real.
+    Setting hermitian=True asserts max |M - M^dag| <= 1e-13 entrywise at
+    construction and unlocks the Hermitian-only routines (`evolve_with`,
+    `expectation`). Products drop the tag.
     """
 
     space: HilbertSpace
@@ -142,7 +133,7 @@ class OperatorMatrix:
     hermitian: bool = False
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=np.complex128)
+        entries = np.array(self.entries, dtype=np.complex128 if np.iscomplexobj(self.entries) else np.float64)
         d = self.space.dim
         if entries.shape != (d, d):
             raise ValueError(f"expected {d}x{d} entries, got shape {entries.shape}")
@@ -158,9 +149,6 @@ class OperatorMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    def dagger(self) -> OperatorMatrix:
-        return OperatorMatrix(self.space, self.entries.conj().T, self.hermitian)
-
     def apply(self, psi: StateVector) -> StateVector:
         _require_same_space(self.space, psi.space)
         return StateVector(self.space, self.entries @ psi.amps)
@@ -169,43 +157,11 @@ class OperatorMatrix:
         _require_same_space(self.space, other.space)
         return OperatorMatrix(self.space, self.entries @ other.entries)
 
-    def __add__(self, other: OperatorMatrix) -> OperatorMatrix:
-        _require_same_space(self.space, other.space)
-        return OperatorMatrix(
-            self.space,
-            self.entries + other.entries,
-            self.hermitian and other.hermitian,
-        )
-
-    def __sub__(self, other: OperatorMatrix) -> OperatorMatrix:
-        _require_same_space(self.space, other.space)
-        return OperatorMatrix(
-            self.space,
-            self.entries - other.entries,
-            self.hermitian and other.hermitian,
-        )
-
-    def __mul__(self, scalar) -> OperatorMatrix:
-        return OperatorMatrix(
-            self.space,
-            self.entries * scalar,
-            self.hermitian and _is_real_scalar(scalar),
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> OperatorMatrix:
-        return OperatorMatrix(self.space, -self.entries, self.hermitian)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
-
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(evals, vecs) of the entries; real symmetric entries (no imaginary part at all)
-        take the real solver and give real vecs, any other the complex one."""
-        entries = self.entries
-        return np.linalg.eigh(entries if entries.imag.any() else entries.real)
+        """(evals, vecs) of the entries; float64 entries take the real solver and
+        give real vecs, complex128 ones the complex solver."""
+        return np.linalg.eigh(self.entries)
 
 
 def basis_state(space: HilbertSpace, atom: str, n: int) -> StateVector:
@@ -343,13 +299,13 @@ def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray])
     """Expectation value of every named operator on every row of a (T, d) array.
 
     An operator given as a vector is a diagonal, and so is an OperatorMatrix
-    whose entries are exactly diagonal. A real diagonal (no imaginary part)
-    is read as populations @ diagonal, O(T d) in real arithmetic, from the
-    populations |amps|^2 formed once per trajectory. Any other operator goes
-    through the row-wise complex reduction against the bras: an off-diagonal
-    one after one dense matrix product, O(T d^2) in BLAS, an imaginary
-    diagonal after scaling each row. There an imaginary residue above
-    IMAG_TOL raises NumericConsistencyError.
+    whose entries are exactly diagonal. A diagonal of real dtype is read as
+    populations @ diagonal, O(T d) in real arithmetic, from the populations
+    |amps|^2 formed once per trajectory. Any other operator goes through the
+    row-wise complex reduction against the bras: an off-diagonal one after
+    one dense matrix product, O(T d^2) in BLAS, a complex diagonal after
+    scaling each row. There an imaginary residue above IMAG_TOL raises
+    NumericConsistencyError.
     """
     populations = None
     out = {}
@@ -361,10 +317,10 @@ def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray])
             diagonal = None
         else:
             diagonal = np.diagonal(entries)
-        if diagonal is not None and not (np.iscomplexobj(diagonal) and diagonal.imag.any()):
+        if diagonal is not None and not np.iscomplexobj(diagonal):
             if populations is None:
                 populations = amps.real**2 + amps.imag**2
-            out[name] = populations @ np.ascontiguousarray(diagonal.real)
+            out[name] = populations @ np.ascontiguousarray(diagonal)
             continue
         image = amps @ entries.T if diagonal is None else amps * diagonal
         values = np.einsum("ti,ti->t", amps.conj(), image)
@@ -378,7 +334,7 @@ def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray])
 def expectation(psi: StateVector, op: OperatorMatrix) -> float:
     """Real expectation value <psi|op|psi> of a Hermitian operator on a unit state.
 
-    One row of `_expectations`: a real diagonal is read from the populations;
+    One row of `_expectations`: a real-dtype diagonal is read from the populations;
     for any other operator the imaginary residue must sit below IMAG_TOL (it
     is pure roundoff for a Hermitian operator); it is asserted and then
     discarded.

@@ -9,7 +9,6 @@ analytic path over a whole time grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +53,7 @@ class ComparisonReport:
 
     Carries the propagated trajectory as one read-only (T, d) array `amps`,
     its `standard_observables` series (`raw`), and the Hamiltonian and
-    initial state it was propagated from. `states` gives the same
-    trajectory as one StateVector per grid time, built on first use.
+    initial state it was propagated from.
     """
 
     scenario: str
@@ -70,10 +68,6 @@ class ComparisonReport:
     raw: dict[str, np.ndarray]
     hamiltonian: OperatorMatrix
     initial: StateVector
-
-    @cached_property
-    def states(self) -> list[StateVector]:
-        return [StateVector(self.initial.space, row) for row in self.amps]
 
     def worst_obs_dev(self) -> float:
         return max(self.max_obs_dev.values())

@@ -720,10 +720,10 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
     check whose thunk raises TruncationError reads (inf, 0.0, "max<=") and
     fails with the note "truncation too small: ...", so a scenario that
     does not fit fails all 7 of its checks with one note. A tol that is not
-    a finite real > 0, an n_max below 2, or an n_max whose dense complex
-    d x d operator (d = 2 * (n_max + 1), 16 d^2 bytes) cannot be indexed or
-    exceeds physical memory raises ConfigError before anything is built.
-    The memory rule is skipped where `os.sysconf` does not report it.
+    a finite real > 0, an n_max below 2, or an n_max whose d x d operator
+    (d = 2 * (n_max + 1)) cannot be indexed or whose peak, 256 d^2 bytes
+    (32 real operators), exceeds physical memory raises ConfigError before
+    anything is built. The memory rule is skipped where `os.sysconf` does not report it.
     """
     if tol is not None and not (_finite(tol) and tol > 0):
         raise ConfigError("tol", f"must be a finite number > 0, got {tol!r}")
@@ -731,8 +731,9 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
         raise ConfigError("n_max", f"must be an integer >= 2, got {n_max!r}")
     if n_max is not None and (square := (2 * (int(n_max) + 1)) ** 2) > np.iinfo(np.intp).max:
         raise ConfigError("n_max", f"gives a dense dimension 2 * (n_max + 1) too large to index its square, got {n_max!r}")
-    if n_max is not None and 16 * square > (memory := _physical_memory()):
-        raise ConfigError("n_max", f"needs {16 * square:.3g} bytes for one dense complex operator, "
+    # the suite's peak with headroom: its tracemalloc peak is 28.9 real d x d operators at n_max = 100, 26.1 at 200 and 400
+    if n_max is not None and (peak := 256 * square) > (memory := _physical_memory()):
+        raise ConfigError("n_max", f"needs about {peak:.3g} bytes at the suite's peak of 32 real d x d operators, "
                                    f"more than the {memory:.3g} bytes of physical memory, got {n_max!r}")
     start = time.perf_counter()
     param_sets = {f"{frame}-params": ModelParams.from_dimensionless(xi, FIGURE_EPSILON) for frame, xi in FIGURE_XI.items()}

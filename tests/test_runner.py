@@ -906,10 +906,32 @@ class TestVerifySuite:
             raise AssertionError(f"built a space at n_max = {n_max}")
 
         monkeypatch.setattr(runner, "HilbertSpace", no_space)  # nothing is allocated if the guard fails
-        # one dense complex operator at n_max = 1e7 needs 16 * (2e7 + 2)^2 bytes, about 6.4 PB
+        # the suite peak at n_max = 1e7 is priced at 256 * (2e7 + 2)^2 bytes, about 100 PB
         with pytest.raises(ConfigError, match="physical memory") as err:
             verify_suite(n_max=10**7)
         assert err.value.field == "n_max"
+
+    def test_the_memory_guard_prices_the_suite_peak_not_one_operator(self, monkeypatch):
+        def no_space(n_max):
+            raise AssertionError(f"built a space at n_max = {n_max}")
+
+        d = 2 * (100 + 1)
+        # room for four dense complex operators, but not for the suite's peak at n_max = 100
+        monkeypatch.setattr(runner, "_physical_memory", lambda: 64.0 * d**2)
+        monkeypatch.setattr(runner, "HilbertSpace", no_space)
+        with pytest.raises(ConfigError, match="suite's peak") as err:
+            verify_suite(n_max=100)
+        assert err.value.field == "n_max"
+
+    def test_the_memory_guard_covers_the_measured_suite_peak(self):
+        d = 2 * (100 + 1)
+        tracemalloc.start()
+        try:
+            verify_suite(n_max=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * d**2  # the bytes `verify_suite` requires of physical memory at this n_max
 
     @pytest.mark.parametrize("error", [ValueError, AttributeError])
     def test_physical_memory_is_unbounded_where_sysconf_does_not_report_it(self, monkeypatch, error):
