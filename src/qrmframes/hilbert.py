@@ -8,6 +8,10 @@ table of banded terms (`_terms`) only where an operator is built. States are
 complex; an operator is stored float64 when its input is real (every operator
 of the model) and complex128 otherwise, and that dtype alone decides where
 decomposition, propagation and expectation values run in real arithmetic.
+The one symmetry used is the QRM parity, excitation number mod 2: an
+operator whose entries are exactly zero between the two parity sectors is
+decomposed and propagated sector by sector, any other one whole. Nothing
+here reads the JC/AJC doublets.
 """
 
 from __future__ import annotations
@@ -77,6 +81,10 @@ class HilbertSpace:
     def excited_mask(self) -> np.ndarray:
         """Boolean mask over basis indices where the atom is excited."""
         return np.tile(np.array([False, True]), self.n_max + 1)
+
+    def excitations(self) -> np.ndarray:
+        """Excitation number a^dag a + s+ s- of each basis index; its parity is the QRM parity."""
+        return self.photon_numbers() + self.excited_mask()
 
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
@@ -158,10 +166,30 @@ class OperatorMatrix:
         return OperatorMatrix(self.space, self.entries @ other.entries)
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(evals, vecs) of the entries; float64 entries take the real solver and
-        give real vecs, complex128 ones the complex solver."""
-        return np.linalg.eigh(self.entries)
+    def _sectors(self) -> tuple[np.ndarray | slice, ...]:
+        """Basis indices of each block the entries decompose into: the even and
+        the odd QRM parity sector (`HilbertSpace.excitations` mod 2) when every
+        entry between them is exactly zero, else one sector of every index."""
+        parity = self.space.excitations() % 2
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
+        if self.entries[even][:, odd].any() or self.entries[odd][:, even].any():
+            return (slice(None),)
+        return even, odd
+
+    @cached_property
+    def _eigh(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Sector number -> (evals, vecs) of that sector's block, filled by
+        `_sector_eigh`; float64 entries take the real solver and give real vecs,
+        complex128 ones the complex solver."""
+        return {}
+
+    def _sector_eigh(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(evals, vecs) of sector k's block, decomposed on first use and kept;
+        a whole-space sector decomposes the entries themselves."""
+        if k not in self._eigh:
+            index = self._sectors[k]
+            self._eigh[k] = np.linalg.eigh(self.entries[index][:, index])
+        return self._eigh[k]
 
 
 def basis_state(space: HilbertSpace, atom: str, n: int) -> StateVector:
@@ -181,22 +209,21 @@ def _terms(space: HilbertSpace) -> dict[str, dict[int, np.ndarray]]:
     Each term is held as its nonzero diagonals {offset k: entries (i, i + k)},
     all on the offsets 0, +-1, +-2 and +-3; `_dense` gives its matrix, equal
     bit for bit to the kron/matmul construction. Keys: a, ad (a^dag), ata
-    (a^dag a, held as sqrt(n)**2 like the product ad @ a), eye, sz, sm (s-),
-    sp (s+); the projectors sp_sm (s+ s-) and sm_sp (s- s+); a_ad, the
-    algebraic a^dag a + 1; the conserved numbers n_jc and n_ajc; the
-    interaction half-products a_sp, ad_sm, a_sm, ad_sp and their sums
-    jc = a s+ + a^dag s- and ajc = a s- + a^dag s+.
+    (a^dag a, held as the exact integers diag(n) (x) 1, not as the roundoff
+    of ad @ a), eye, sz, sm (s-), sp (s+); the projectors sp_sm (s+ s-) and
+    sm_sp (s- s+); a_ad, the algebraic a^dag a + 1; the conserved numbers
+    n_jc and n_ajc; the interaction half-products a_sp, ad_sm, a_sm, ad_sp
+    and their sums jc = a s+ + a^dag s- and ajc = a s- + a^dag s+.
     """
     n, excited = space.photon_numbers().astype(float), space.excited_mask()
     root, sp_sm, sm_sp = np.sqrt(n), excited.astype(float), (~excited).astype(float)
-    ata = root**2
     # sqrt(n + 1) couples |e, n> to |g, n + 1> (offset 1) and |g, n> to |e, n + 1> (offset 3)
     jc, ajc = np.where(excited, np.sqrt(n + 1.0), 0.0)[:-1], np.where(excited, 0.0, np.sqrt(n + 1.0))[:-3]
     return {
-        "a": {2: root[2:]}, "ad": {-2: root[2:]}, "ata": {0: ata}, "eye": {0: np.ones(space.dim)},
+        "a": {2: root[2:]}, "ad": {-2: root[2:]}, "ata": {0: n}, "eye": {0: np.ones(space.dim)},
         "sz": {0: np.where(excited, 0.5, -0.5)}, "sm": {1: sm_sp[:-1]}, "sp": {-1: sm_sp[:-1]},
-        "sp_sm": {0: sp_sm}, "sm_sp": {0: sm_sp}, "a_ad": {0: ata + 1.0}, "n_jc": {0: ata + sp_sm},
-        "n_ajc": {0: (ata + 1.0) + sm_sp}, "a_sp": {1: jc}, "ad_sm": {-1: jc}, "a_sm": {3: ajc}, "ad_sp": {-3: ajc},
+        "sp_sm": {0: sp_sm}, "sm_sp": {0: sm_sp}, "a_ad": {0: n + 1.0}, "n_jc": {0: n + sp_sm},
+        "n_ajc": {0: (n + 1.0) + sm_sp}, "a_sp": {1: jc}, "ad_sm": {-1: jc}, "a_sm": {3: ajc}, "ad_sp": {-3: ajc},
         "jc": {1: jc, -1: jc}, "ajc": {3: ajc, -3: ajc},
     }
 
@@ -275,14 +302,22 @@ def _evolve_eigen(evals: np.ndarray, vecs: np.ndarray, amps0: np.ndarray, times:
 
 
 def _propagate(hamiltonian: OperatorMatrix, psi0: StateVector, times) -> np.ndarray:
-    """Rows exp(-i H t) psi0 for every finite t (`_evolve_eigen`), from the one
-    eigendecomposition of a hermitian-tagged H (never symmetrized) in psi0's space;
-    a real H propagates in real arithmetic."""
+    """Rows exp(-i H t) psi0 for every finite t, (T, d), for a hermitian-tagged H
+    (never symmetrized) in psi0's space; a real H propagates in real arithmetic.
+
+    Each of H's sectors (`OperatorMatrix._sectors`) where psi0 has a nonzero
+    amplitude fills its own columns by `_evolve_eigen` from that sector's one
+    decomposition; the other columns stay exactly zero, as they would evolve.
+    """
     if not hamiltonian.hermitian:
         raise HermiticityError("propagation requires a hermitian-tagged operator")
     _require_same_space(hamiltonian.space, psi0.space)
     tt = _times(times)
-    return _evolve_eigen(*hamiltonian._eigh, psi0.amps, tt)
+    rows = np.zeros((tt.size, psi0.space.dim), dtype=np.complex128)
+    for k, index in enumerate(hamiltonian._sectors):
+        if (amps0 := psi0.amps[index]).any():
+            rows[:, index] = _evolve_eigen(*hamiltonian._sector_eigh(k), amps0, tt)
+    return rows
 
 
 def evolve_with(hamiltonian: OperatorMatrix, psi0: StateVector, t: float) -> StateVector:

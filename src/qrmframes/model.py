@@ -172,8 +172,7 @@ def build_parity(space: HilbertSpace, k: int) -> OperatorMatrix:
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"parity exponent k must be an integer >= 1, got {k!r}")
-    n_vals = space.photon_numbers() + space.excited_mask().astype(int)
-    signs = np.where((k * n_vals) % 2 == 0, 1.0, -1.0)
+    signs = np.where((k * space.excitations()) % 2 == 0, 1.0, -1.0)
     return OperatorMatrix(space, np.diag(signs), hermitian=True)
 
 

@@ -3,7 +3,9 @@
 Propagates states by dense Hermitian eigendecomposition, takes raw
 expectation values without any frame convention, and compares both the
 amplitudes (phase sensitive) and the reported observables against the
-analytic path over a whole time grid.
+analytic path over a whole time grid. The decomposition is split only by
+the QRM parity, where the Hamiltonian's entries do not couple its two
+sectors (`hilbert`); no code here reads the doublets.
 """
 
 from __future__ import annotations
@@ -121,6 +123,20 @@ def observable_series(
     return _expectations(np.stack([psi.amps for psi in states]), ops)
 
 
+def _observe(
+    params: ModelParams, frame: str, psi0: StateVector, grid: np.ndarray
+) -> tuple[OperatorMatrix, np.ndarray, dict[str, np.ndarray]]:
+    """The propagated half of `compare_scenario`: the frame Hamiltonian on psi0's
+    space, psi0's read-only (T, d) trajectory under it on the grid, and that
+    trajectory's `standard_observables` series, read from the term table."""
+    space = psi0.space
+    terms = _terms(space)
+    (hamiltonian,) = _operators(params, space, terms, frame)
+    amps = _trajectory(hamiltonian, psi0, grid)
+    amps.setflags(write=False)
+    return hamiltonian, amps, _expectations(amps, {name: terms[key][0] for name, key in _OBSERVABLE_TERMS.items()})
+
+
 def compare_scenario(
     params: ModelParams,
     frame: str,
@@ -145,14 +161,9 @@ def compare_scenario(
     grid = np.asarray(grid, dtype=float)
     psi0 = analytic.initial_state(params, space, frame, n)
     analytic_amps = analytic.evolve_series(params, space, frame, n, grid)  # raises before any operator is built
-    terms = _terms(space)
-    (hamiltonian,) = _operators(params, space, terms, frame)
-
-    numeric_amps = _trajectory(hamiltonian, psi0, grid)
-    numeric_amps.setflags(write=False)
+    hamiltonian, numeric_amps, raw = _observe(params, frame, psi0, grid)
     state_dev = float(np.max(np.abs(analytic_amps - numeric_amps), initial=0.0))
 
-    raw = _expectations(numeric_amps, {name: terms[key][0] for name, key in _OBSERVABLE_TERMS.items()})
     predicted = analytic.observables(params, frame, n, grid).as_dict()
     obs_dev = {
         column: float(np.max(np.abs(np.broadcast_to(predicted[column], grid.shape) - raw[raw_name]), initial=0.0))

@@ -22,7 +22,8 @@ from qrmframes import (
     identity,
     qubit_operators,
 )
-from qrmframes.hilbert import _propagate
+from qrmframes.analytic import initial_state
+from qrmframes.hilbert import _evolve_eigen, _propagate
 from qrmframes.model import (
     ModelParams,
     build_components,
@@ -340,11 +341,18 @@ def test_eigh_is_real_for_real_entries_and_complex_otherwise():
     real = OperatorMatrix(space, raw + raw.T, hermitian=True)
     imag = 1j * rng.standard_normal((space.dim, space.dim))
     complex_ = OperatorMatrix(space, real.entries + imag - imag.T, hermitian=True)
-    assert real.entries.dtype == real._eigh[1].dtype == np.float64
-    assert complex_.entries.dtype == complex_._eigh[1].dtype == np.complex128
+    assert real.entries.dtype == real._sector_eigh(0)[1].dtype == np.float64
+    assert complex_.entries.dtype == complex_._sector_eigh(0)[1].dtype == np.complex128
     for op in (real, complex_):
-        evals, vecs = op._eigh
+        assert op._sectors == (slice(None),)  # random entries couple the parity sectors
+        evals, vecs = op._sector_eigh(0)
         assert np.max(np.abs(op.entries @ vecs - vecs * evals)) <= 1e-12
+    # a real model Hamiltonian decomposes per parity sector, each block in the real solver
+    h_rf = build_effective(ModelParams.from_dimensionless(0.3, 0.16), space)[0]
+    for k, index in enumerate(h_rf._sectors):
+        evals, vecs = h_rf._sector_eigh(k)
+        assert vecs.dtype == np.float64 and vecs.shape == (space.dim // 2, space.dim // 2)
+        assert np.max(np.abs(h_rf.entries[np.ix_(index, index)] @ vecs - vecs * evals)) <= 1e-12
     # the entries' dtype follows the input: real (integer included) is float64, complex stays complex128
     assert OperatorMatrix(space, np.eye(space.dim, dtype=int)).entries.dtype == np.float64
     assert OperatorMatrix(space, np.eye(space.dim, dtype=np.complex64)).entries.dtype == np.complex128
@@ -376,3 +384,63 @@ def test_real_propagation_matches_the_complex_decomposition(n_max):
         rows = _propagate(h, psi0, times)
         assert rows.dtype == np.complex128 and rows.flags.c_contiguous
         assert np.max(np.abs(rows - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_max", [20, 70])  # d = 42 and 142
+def test_sector_propagation_matches_the_whole_matrix(n_max):
+    rng = np.random.default_rng(100 + n_max)
+    space = HilbertSpace(n_max)
+    params = ModelParams.from_dimensionless(0.3, 0.16)
+    times = np.linspace(0.0, 25.0, 200)
+    amps = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    across = StateVector(space, amps / np.linalg.norm(amps))  # weight in both parity sectors
+    odd = space.excitations() % 2 == 1
+    for h in (*build_effective(params, space), build_rabi(params, space)):
+        assert [list(index) for index in h._sectors] == [list(np.flatnonzero(~odd)), list(np.flatnonzero(odd))]
+        evals, vecs = np.linalg.eigh(h.entries.astype(np.complex128))  # the complex solver on the whole matrix
+        for psi0 in [initial_state(params, space, frame, n) for frame in ("rf", "crf") for n in (0, 1, 5)] + [across]:
+            occupied = set(odd[np.flatnonzero(psi0.amps)])
+            assert len(occupied) == (2 if psi0 is across else 1)  # each frame's initial state lies in one chain
+            reference = (np.exp(-1j * np.outer(times, evals)) * (vecs.conj().T @ psi0.amps)) @ vecs.T
+            rows = _propagate(h, psi0, times)
+            assert rows.dtype == np.complex128 and rows.shape == (times.size, space.dim)
+            assert np.max(np.abs(rows - reference)) <= 1e-13
+            assert not rows[:, [p not in occupied for p in odd]].any()  # an empty sector stays exactly zero
+        assert sorted(h._eigh) == [0, 1]
+
+
+def test_each_sector_is_decomposed_once_and_only_when_a_state_needs_it(monkeypatch):
+    space = HilbertSpace(10)
+    h_rf, _ = build_effective(ModelParams.from_dimensionless(0.3, 0.16), space)
+    shapes = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(np.shape(a)) or real_eigh(a, *args, **kw))
+    e0, g0 = basis_state(space, "e", 0), basis_state(space, "g", 0)  # odd and even excitation number
+    for t in (0.0, 1.5):
+        evolve_with(h_rf, e0, t)
+    assert sorted(h_rf._eigh) == [1] and shapes == [(space.dim // 2, space.dim // 2)]
+    evolve_with(h_rf, StateVector(space, (e0.amps + g0.amps) / np.sqrt(2.0)), 2.0)
+    assert sorted(h_rf._eigh) == [0, 1] and len(shapes) == 2
+
+
+# (0, 1) and (1, 0): a single 1e-300 entry of H_crf between |g, 0> (even) and |e, 0> (odd), in either cross block
+@pytest.mark.parametrize("kind", ["real symmetric", "complex hermitian", (0, 1), (1, 0)],
+                         ids=["real-symmetric", "complex-hermitian", "1e-300-at-0-1", "1e-300-at-1-0"])
+def test_operators_coupling_the_sectors_propagate_whole_and_bit_for_bit(kind):
+    rng = np.random.default_rng(17)
+    space = HilbertSpace(12)
+    raw, imag = rng.standard_normal((2, space.dim, space.dim))
+    if kind == "real symmetric":
+        entries = raw + raw.T
+    elif kind == "complex hermitian":
+        entries = raw + raw.T + 1j * (imag - imag.T)
+    else:
+        entries = build_effective(ModelParams.from_dimensionless(0.3, 0.16), space)[1].entries.copy()
+        entries[kind] = 1e-300
+    h = OperatorMatrix(space, entries, hermitian=True)
+    assert h._sectors == (slice(None),)
+    amps = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi0 = StateVector(space, amps / np.linalg.norm(amps))
+    times = np.linspace(0.0, 10.0, 50)
+    rows = _propagate(h, psi0, times)
+    assert np.array_equal(rows, _evolve_eigen(*np.linalg.eigh(h.entries), psi0.amps, times))

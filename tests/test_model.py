@@ -263,7 +263,7 @@ def _kron_primitives(space):
     return {
         "a": a,
         "ad": a.T,
-        "ata": a.T @ a,
+        "ata": np.kron(np.diag(np.arange(float(n_ph))), np.eye(2)),  # the exact integers, not a.T @ a
         "sz": np.kron(eye_ph, np.diag([-0.5, 0.5])),
         "sm": np.kron(eye_ph, np.array([[0.0, 1.0], [0.0, 0.0]])),
         "sp": np.kron(eye_ph, np.array([[0.0, 0.0], [1.0, 0.0]])),

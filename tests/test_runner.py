@@ -923,6 +923,12 @@ class TestVerifySuite:
             verify_suite(n_max=100)
         assert err.value.field == "n_max"
 
+    def test_a_forced_n_max_of_100_passes(self):
+        # the number operators hold the exact integers n, so the zero commutators stay exactly zero
+        report = verify_suite(n_max=100)
+        assert report.passed
+        assert [c.value for c in report.checks if c.name.startswith("zero commutator ")] == [0.0] * 10
+
     def test_the_memory_guard_covers_the_measured_suite_peak(self):
         d = 2 * (100 + 1)
         tracemalloc.start()
@@ -979,6 +985,9 @@ class TestVerifySuite:
         # widened; the composition check reuses the first decomposition
         assert len(shapes) == 16
         assert len(set(shapes)) == 8
+        # each initial state lies in one parity sector, so only that (d/2, d/2) block is decomposed:
+        # n_max = n + 20 for n = 0, 1, 5 and 40, then 10 wider, in both frames
+        assert sorted(shapes) == sorted((m + 1, m + 1) for n in (0, 1, 5, 40) for m in (n + 20, n + 30) for _ in range(2))
         # H_rf and H_crf are real symmetric in the Fock basis, so each takes the real solver
         assert all(real)
 
