@@ -9,9 +9,9 @@ complex; an operator is stored float64 when its input is real (every operator
 of the model) and complex128 otherwise, and that dtype alone decides where
 decomposition, propagation and expectation values run in real arithmetic.
 The one symmetry used is the QRM parity, excitation number mod 2: an
-operator whose entries are exactly zero between the two parity sectors is
-decomposed and propagated sector by sector, any other one whole. Nothing
-here reads the JC/AJC doublets.
+operator's sector table holds both parity sectors when its entries are
+exactly zero between them, else the whole space, and a sector's row gains
+its decomposition once a state needs it. No JC/AJC doublet is read here.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class OperatorMatrix:
     Entries are stored float64 when the input is real and complex128 when it
     is complex; the dtype is the one record of whether the operator is real.
     Setting hermitian=True asserts max |M - M^dag| <= 1e-13 entrywise at
-    construction and unlocks the Hermitian-only routines (`evolve_with`,
-    `expectation`). Products drop the tag.
+    construction and unlocks the Hermitian-only routines `evolve_with`,
+    `expectation`, `oracle.propagate_series` and `oracle.observable_series`;
+    products drop the tag.
     """
 
     space: HilbertSpace
@@ -166,30 +167,16 @@ class OperatorMatrix:
         return OperatorMatrix(self.space, self.entries @ other.entries)
 
     @cached_property
-    def _sectors(self) -> tuple[np.ndarray | slice, ...]:
-        """Basis indices of each block the entries decompose into: the even and
-        the odd QRM parity sector (`HilbertSpace.excitations` mod 2) when every
-        entry between them is exactly zero, else one sector of every index."""
+    def _sectors(self) -> list[list]:
+        """One row [basis indices, (evals, vecs) or None] per block of the entries:
+        the even and the odd QRM parity sector (`HilbertSpace.excitations` mod 2)
+        when every entry between them is exactly zero, else the whole space;
+        `_propagate` alone fills a row's decomposition, when a state first needs it."""
         parity = self.space.excitations() % 2
         even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity)
         if self.entries[even][:, odd].any() or self.entries[odd][:, even].any():
-            return (slice(None),)
-        return even, odd
-
-    @cached_property
-    def _eigh(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Sector number -> (evals, vecs) of that sector's block, filled by
-        `_sector_eigh`; float64 entries take the real solver and give real vecs,
-        complex128 ones the complex solver."""
-        return {}
-
-    def _sector_eigh(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(evals, vecs) of sector k's block, decomposed on first use and kept;
-        a whole-space sector decomposes the entries themselves."""
-        if k not in self._eigh:
-            index = self._sectors[k]
-            self._eigh[k] = np.linalg.eigh(self.entries[index][:, index])
-        return self._eigh[k]
+            return [[slice(None), None]]
+        return [[even, None], [odd, None]]
 
 
 def basis_state(space: HilbertSpace, atom: str, n: int) -> StateVector:
@@ -305,18 +292,22 @@ def _propagate(hamiltonian: OperatorMatrix, psi0: StateVector, times) -> np.ndar
     """Rows exp(-i H t) psi0 for every finite t, (T, d), for a hermitian-tagged H
     (never symmetrized) in psi0's space; a real H propagates in real arithmetic.
 
-    Each of H's sectors (`OperatorMatrix._sectors`) where psi0 has a nonzero
-    amplitude fills its own columns by `_evolve_eigen` from that sector's one
-    decomposition; the other columns stay exactly zero, as they would evolve.
+    Each row of H's sector table (`OperatorMatrix._sectors`) where psi0 has a
+    nonzero amplitude fills its own columns by `_evolve_eigen`, decomposing its
+    block into that row on first use (the dtype picks the real or the complex
+    solver); the other columns stay exactly zero, as they would evolve.
     """
     if not hamiltonian.hermitian:
         raise HermiticityError("propagation requires a hermitian-tagged operator")
     _require_same_space(hamiltonian.space, psi0.space)
     tt = _times(times)
     rows = np.zeros((tt.size, psi0.space.dim), dtype=np.complex128)
-    for k, index in enumerate(hamiltonian._sectors):
+    for sector in hamiltonian._sectors:
+        index, eig = sector
         if (amps0 := psi0.amps[index]).any():
-            rows[:, index] = _evolve_eigen(*hamiltonian._sector_eigh(k), amps0, tt)
+            if eig is None:
+                eig = sector[1] = np.linalg.eigh(hamiltonian.entries[index][:, index])
+            rows[:, index] = _evolve_eigen(*eig, amps0, tt)
     return rows
 
 
@@ -347,8 +338,7 @@ def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray])
     for name, op in ops.items():
         if isinstance(op, np.ndarray):
             diagonal = op
-        elif (entries := op.entries).reshape(-1)[:-1].reshape(-1, entries.shape[0] + 1)[:, 1:].any():
-            # the flat matrix holds the off-diagonal entries between consecutive diagonal ones
+        elif np.count_nonzero(entries := op.entries) != np.count_nonzero(np.diagonal(entries)):
             diagonal = None
         else:
             diagonal = np.diagonal(entries)

@@ -334,6 +334,12 @@ def test_evolve_with_rejects_a_non_finite_time(t):
         evolve_with(h_rf, basis_state(space, "e", 0), t)
 
 
+def _decomposed_sectors(op: OperatorMatrix) -> list:
+    """op's sector table once a state with weight on every basis index has been propagated."""
+    evolve_with(op, StateVector(op.space, np.full(op.space.dim, op.space.dim**-0.5)), 0.0)
+    return op._sectors
+
+
 def test_eigh_is_real_for_real_entries_and_complex_otherwise():
     rng = np.random.default_rng(5)
     space = HilbertSpace(4)
@@ -341,16 +347,15 @@ def test_eigh_is_real_for_real_entries_and_complex_otherwise():
     real = OperatorMatrix(space, raw + raw.T, hermitian=True)
     imag = 1j * rng.standard_normal((space.dim, space.dim))
     complex_ = OperatorMatrix(space, real.entries + imag - imag.T, hermitian=True)
-    assert real.entries.dtype == real._sector_eigh(0)[1].dtype == np.float64
-    assert complex_.entries.dtype == complex_._sector_eigh(0)[1].dtype == np.complex128
+    assert real.entries.dtype == _decomposed_sectors(real)[0][1][1].dtype == np.float64
+    assert complex_.entries.dtype == _decomposed_sectors(complex_)[0][1][1].dtype == np.complex128
     for op in (real, complex_):
-        assert op._sectors == (slice(None),)  # random entries couple the parity sectors
-        evals, vecs = op._sector_eigh(0)
+        [[index, (evals, vecs)]] = op._sectors
+        assert index == slice(None)  # random entries couple the parity sectors
         assert np.max(np.abs(op.entries @ vecs - vecs * evals)) <= 1e-12
     # a real model Hamiltonian decomposes per parity sector, each block in the real solver
     h_rf = build_effective(ModelParams.from_dimensionless(0.3, 0.16), space)[0]
-    for k, index in enumerate(h_rf._sectors):
-        evals, vecs = h_rf._sector_eigh(k)
+    for index, (evals, vecs) in _decomposed_sectors(h_rf):
         assert vecs.dtype == np.float64 and vecs.shape == (space.dim // 2, space.dim // 2)
         assert np.max(np.abs(h_rf.entries[np.ix_(index, index)] @ vecs - vecs * evals)) <= 1e-12
     # the entries' dtype follows the input: real (integer included) is float64, complex stays complex128
@@ -396,7 +401,7 @@ def test_sector_propagation_matches_the_whole_matrix(n_max):
     across = StateVector(space, amps / np.linalg.norm(amps))  # weight in both parity sectors
     odd = space.excitations() % 2 == 1
     for h in (*build_effective(params, space), build_rabi(params, space)):
-        assert [list(index) for index in h._sectors] == [list(np.flatnonzero(~odd)), list(np.flatnonzero(odd))]
+        assert [list(index) for index, _ in h._sectors] == [list(np.flatnonzero(~odd)), list(np.flatnonzero(odd))]
         evals, vecs = np.linalg.eigh(h.entries.astype(np.complex128))  # the complex solver on the whole matrix
         for psi0 in [initial_state(params, space, frame, n) for frame in ("rf", "crf") for n in (0, 1, 5)] + [across]:
             occupied = set(odd[np.flatnonzero(psi0.amps)])
@@ -406,7 +411,27 @@ def test_sector_propagation_matches_the_whole_matrix(n_max):
             assert rows.dtype == np.complex128 and rows.shape == (times.size, space.dim)
             assert np.max(np.abs(rows - reference)) <= 1e-13
             assert not rows[:, [p not in occupied for p in odd]].any()  # an empty sector stays exactly zero
-        assert sorted(h._eigh) == [0, 1]
+        assert all(eig is not None for _, eig in h._sectors)
+
+
+def test_a_complex_operator_without_cross_blocks_decomposes_per_sector_in_the_complex_solver():
+    # H_rf + i B with B real, antisymmetric and zero between the parity sectors: Hermitian and parity-blocked
+    rng = np.random.default_rng(12)
+    space = HilbertSpace(12)
+    odd = space.excitations() % 2 == 1
+    raw = np.where(odd[:, None] == odd[None, :], rng.standard_normal((space.dim, space.dim)), 0.0)
+    h_rf = build_effective(ModelParams.from_dimensionless(0.3, 0.16), space)[0]
+    h = OperatorMatrix(space, h_rf.entries + 1j * (raw - raw.T), hermitian=True)
+    assert h.entries.dtype == np.complex128
+    assert [list(index) for index, _ in h._sectors] == [list(np.flatnonzero(~odd)), list(np.flatnonzero(odd))]
+    amps = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    psi0 = StateVector(space, amps / np.linalg.norm(amps))
+    times = np.linspace(0.0, 25.0, 200)
+    evals, vecs = np.linalg.eigh(h.entries)  # the complex solver on the whole matrix
+    reference = (np.exp(-1j * np.outer(times, evals)) * (vecs.conj().T @ psi0.amps)) @ vecs.T
+    assert np.max(np.abs(_propagate(h, psi0, times) - reference)) <= 1e-13
+    for _, (_, sector_vecs) in h._sectors:
+        assert sector_vecs.dtype == np.complex128 and sector_vecs.shape == (space.dim // 2, space.dim // 2)
 
 
 def test_each_sector_is_decomposed_once_and_only_when_a_state_needs_it(monkeypatch):
@@ -418,9 +443,10 @@ def test_each_sector_is_decomposed_once_and_only_when_a_state_needs_it(monkeypat
     e0, g0 = basis_state(space, "e", 0), basis_state(space, "g", 0)  # odd and even excitation number
     for t in (0.0, 1.5):
         evolve_with(h_rf, e0, t)
-    assert sorted(h_rf._eigh) == [1] and shapes == [(space.dim // 2, space.dim // 2)]
+    assert [eig is not None for _, eig in h_rf._sectors] == [False, True]
+    assert shapes == [(space.dim // 2, space.dim // 2)]
     evolve_with(h_rf, StateVector(space, (e0.amps + g0.amps) / np.sqrt(2.0)), 2.0)
-    assert sorted(h_rf._eigh) == [0, 1] and len(shapes) == 2
+    assert [eig is not None for _, eig in h_rf._sectors] == [True, True] and len(shapes) == 2
 
 
 # (0, 1) and (1, 0): a single 1e-300 entry of H_crf between |g, 0> (even) and |e, 0> (odd), in either cross block
@@ -438,7 +464,7 @@ def test_operators_coupling_the_sectors_propagate_whole_and_bit_for_bit(kind):
         entries = build_effective(ModelParams.from_dimensionless(0.3, 0.16), space)[1].entries.copy()
         entries[kind] = 1e-300
     h = OperatorMatrix(space, entries, hermitian=True)
-    assert h._sectors == (slice(None),)
+    assert [index for index, _ in h._sectors] == [slice(None)]
     amps = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
     psi0 = StateVector(space, amps / np.linalg.norm(amps))
     times = np.linspace(0.0, 10.0, 50)
