@@ -11,7 +11,9 @@ decomposition, propagation and expectation values run in real arithmetic.
 The one symmetry used is the QRM parity, excitation number mod 2: an
 operator's sector table holds both parity sectors when its entries are
 exactly zero between them, else the whole space, and a sector's row gains
-its decomposition once a state needs it. No JC/AJC doublet is read here.
+its decomposition once a state needs it. Propagation then skips every
+eigencomponent whose coefficient on the state is exactly zero. Both rules
+read only the entries and the state: no JC/AJC doublet is read here.
 """
 
 from __future__ import annotations
@@ -216,11 +218,14 @@ def _terms(space: HilbertSpace) -> dict[str, dict[int, np.ndarray]]:
 
 
 def _dense(space: HilbertSpace, bands: dict[int, np.ndarray]) -> np.ndarray:
-    """The d x d matrix holding each {offset: vector} band on its diagonal, zero elsewhere."""
-    matrix = np.zeros((space.dim, space.dim))
+    """The d x d matrix holding each {offset: vector} band on its diagonal, zero elsewhere.
+
+    Entry (i, i + k) sits at flat position k + i (d + 1) for k >= 0 and at
+    -k d + i (d + 1) below the diagonal, so each band is one strided slice."""
+    d = space.dim
+    matrix = np.zeros((d, d))
     for k, vector in bands.items():
-        i = np.arange(max(space.dim - abs(k), 0))
-        matrix[i + max(-k, 0), i + max(k, 0)] = vector
+        matrix.reshape(-1)[k if k >= 0 else -k * d::d + 1][:max(d - abs(k), 0)] = vector
     return matrix
 
 
@@ -270,32 +275,45 @@ def _times(t) -> np.ndarray:
 
 
 def _evolve_eigen(evals: np.ndarray, vecs: np.ndarray, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """C-contiguous (T, d) rows exp(-i E t) (vecs^dag amps0) vecs^T, i.e. exp(-i H t) amps0
+    """(T, d) rows exp(-i E t) (vecs^dag amps0) vecs^T, i.e. exp(-i H t) amps0
     for H = vecs diag(evals) vecs^dag, at every time of a float array.
 
-    Complex vecs take one complex matrix product. Real vecs project amps0 in real
-    arithmetic, take the phases from cos and sin in a (d, T) block and apply vecs in
-    one real matrix product on its float64 view.
+    Only the eigencomponents a state has are propagated: one whose coefficient
+    vecs^dag amps0 is exactly zero (no tolerance; 1e-300 is kept) contributes
+    exactly zero and is dropped before the phases are formed, so only the
+    summation order can change, and with every coefficient nonzero nothing
+    does. The rule reads those coefficients alone, never a doublet. Complex
+    vecs then take one complex matrix product. Real vecs project amps0 in real
+    arithmetic, take the phases of the k kept components from cos and sin in a
+    (k, T) block and apply vecs in one real matrix product on its float64 view;
+    the rows are the transposed view of that (d, T) product, not a copy.
     """
-    if np.iscomplexobj(vecs):
-        return (np.exp(-1j * np.outer(times, evals)) * (vecs.conj().T @ amps0)) @ vecs.T
-    coeffs = vecs.T @ amps0.real + 1j * (vecs.T @ amps0.imag)
+    complex_vecs = np.iscomplexobj(vecs)
+    coeffs = vecs.conj().T @ amps0 if complex_vecs else vecs.T @ amps0.real + 1j * (vecs.T @ amps0.imag)
+    if not (kept := coeffs != 0).all():
+        evals, vecs, coeffs = evals[kept], vecs[:, kept], coeffs[kept]
+    if complex_vecs:
+        return (np.exp(-1j * np.outer(times, evals)) * coeffs) @ vecs.T
     angles = np.outer(evals, times)
     block = np.empty(angles.shape, dtype=np.complex128)
     np.cos(angles, out=block.real)
     np.negative(np.sin(angles, out=block.imag), out=block.imag)
     block *= coeffs[:, None]
-    return np.ascontiguousarray((vecs @ block.view(np.float64)).view(np.complex128).T)
+    return (vecs @ block.view(np.float64)).view(np.complex128).T
 
 
 def _propagate(hamiltonian: OperatorMatrix, psi0: StateVector, times) -> np.ndarray:
-    """Rows exp(-i H t) psi0 for every finite t, (T, d), for a hermitian-tagged H
-    (never symmetrized) in psi0's space; a real H propagates in real arithmetic.
+    """C-contiguous rows exp(-i H t) psi0 for every finite t, (T, d), for a
+    hermitian-tagged H (never symmetrized) in psi0's space; a real H propagates
+    in real arithmetic.
 
     Each row of H's sector table (`OperatorMatrix._sectors`) where psi0 has a
     nonzero amplitude fills its own columns by `_evolve_eigen`, decomposing its
     block into that row on first use (the dtype picks the real or the complex
-    solver); the other columns stay exactly zero, as they would evolve.
+    solver); the other columns stay exactly zero, as they would evolve. Within
+    a sector only the eigencomponents with a nonzero coefficient are
+    propagated (`_evolve_eigen`); like the sectors, that is read from the
+    entries and the state, not from any doublet.
     """
     if not hamiltonian.hermitian:
         raise HermiticityError("propagation requires a hermitian-tagged operator")

@@ -391,7 +391,7 @@ def test_real_propagation_matches_the_complex_decomposition(n_max):
         assert np.max(np.abs(rows - reference)) <= 1e-13
 
 
-@pytest.mark.parametrize("n_max", [20, 70])  # d = 42 and 142
+@pytest.mark.parametrize("n_max", [20, 60, 70])  # d = 42, 122 and 142
 def test_sector_propagation_matches_the_whole_matrix(n_max):
     rng = np.random.default_rng(100 + n_max)
     space = HilbertSpace(n_max)
@@ -403,7 +403,7 @@ def test_sector_propagation_matches_the_whole_matrix(n_max):
     for h in (*build_effective(params, space), build_rabi(params, space)):
         assert [list(index) for index, _ in h._sectors] == [list(np.flatnonzero(~odd)), list(np.flatnonzero(odd))]
         evals, vecs = np.linalg.eigh(h.entries.astype(np.complex128))  # the complex solver on the whole matrix
-        for psi0 in [initial_state(params, space, frame, n) for frame in ("rf", "crf") for n in (0, 1, 5)] + [across]:
+        for psi0 in [initial_state(params, space, frame, n) for frame in ("rf", "crf") for n in (0, 1, 5, 40) if n < n_max] + [across]:
             occupied = set(odd[np.flatnonzero(psi0.amps)])
             assert len(occupied) == (2 if psi0 is across else 1)  # each frame's initial state lies in one chain
             reference = (np.exp(-1j * np.outer(times, evals)) * (vecs.conj().T @ psi0.amps)) @ vecs.T
@@ -470,3 +470,39 @@ def test_operators_coupling_the_sectors_propagate_whole_and_bit_for_bit(kind):
     times = np.linspace(0.0, 10.0, 50)
     rows = _propagate(h, psi0, times)
     assert np.array_equal(rows, _evolve_eigen(*np.linalg.eigh(h.entries), psi0.amps, times))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_an_eigencomponent_is_dropped_only_when_its_coefficient_is_exactly_zero(dtype):
+    evals, times = np.array([0.3, -1.7, 2.5]), np.linspace(0.0, 10.0, 7)
+    amps0 = np.array([1.0, 1e-300, 0.0], dtype=np.complex128)
+    rows = _evolve_eigen(evals, np.eye(3, dtype=dtype), amps0, times)
+    assert rows.shape == (times.size, 3) and rows.dtype == np.complex128
+    assert_allclose(rows[:, :2], np.exp(-1j * np.outer(times, evals[:2])) * amps0[:2], rtol=1e-15, atol=0.0)
+    assert np.all(rows[:, 1] != 0) and not rows[:, 2].any()
+
+
+def _parent_evolve_eigen(evals, vecs, amps0, times):
+    """The propagation rule before zero eigencomponents were dropped, verbatim."""
+    if np.iscomplexobj(vecs):
+        return (np.exp(-1j * np.outer(times, evals)) * (vecs.conj().T @ amps0)) @ vecs.T
+    coeffs = vecs.T @ amps0.real + 1j * (vecs.T @ amps0.imag)
+    angles = np.outer(evals, times)
+    block = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=block.real)
+    np.negative(np.sin(angles, out=block.imag), out=block.imag)
+    block *= coeffs[:, None]
+    return np.ascontiguousarray((vecs @ block.view(np.float64)).view(np.complex128).T)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_a_state_with_every_coefficient_nonzero_propagates_bit_for_bit_as_before(complex_entries):
+    rng = np.random.default_rng(23)
+    d = 30
+    raw, imag = rng.standard_normal((2, d, d))
+    evals, vecs = np.linalg.eigh(raw + raw.T + (1j * (imag - imag.T) if complex_entries else 0.0))
+    assert vecs.dtype == (np.complex128 if complex_entries else np.float64)
+    amps0 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    assert np.all(vecs.conj().T @ amps0 != 0)
+    times = np.linspace(0.0, 25.0, 200)
+    assert np.array_equal(_evolve_eigen(evals, vecs, amps0, times), _parent_evolve_eigen(evals, vecs, amps0, times))

@@ -104,6 +104,19 @@ def test_components_average_to_full_hamiltonian():
         assert dev <= 1e-13
 
 
+def test_rabi_is_the_sum_of_the_frame_hamiltonians_at_half_frequencies():
+    # claim (b) as operator algebra: H_QRM(w, w0, g) = H_rf(w/2, w0/2, g) + H_crf(w/2, w0/2, g), entrywise
+    rng = np.random.default_rng(2027)
+    unit_roundoff = np.finfo(float).eps / 2
+    for draw in range(200):
+        omega, omega0, g = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
+        omega0 = 0.0 if draw % 3 == 0 else omega0
+        space = HilbertSpace(int(rng.integers(0, 200)))
+        h = build_rabi(ModelParams(omega, omega0, g), space).entries
+        h_rf, h_crf = build_effective(ModelParams(omega / 2, omega0 / 2, g), space)
+        assert np.max(np.abs(h_rf.entries + h_crf.entries - h)) <= 4 * unit_roundoff * np.max(np.abs(h)), draw
+
+
 def test_number_operator_spectra():
     space = HilbertSpace(5)
     n_jc, n_ajc = build_number_ops(space)
