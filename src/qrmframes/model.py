@@ -111,12 +111,17 @@ _FORMULAS = {
 }
 
 
-def _operators(params: ModelParams, space: HilbertSpace, terms, *names: str) -> tuple[OperatorMatrix, ...]:
-    """Hermiticity-checked `_FORMULAS` operators, evaluated offset by offset on the term table; a term without
-    a band at an offset reads 0.0 there, so every entry goes through the same arithmetic as on dense terms."""
+def _bands(params: ModelParams, terms, *names: str) -> tuple[dict[int, np.ndarray], ...]:
+    """`_FORMULAS` operators as {offset: diagonal}, evaluated offset by offset on the term table; a term without
+    a band at an offset reads 0.0 there, so every entry goes through the same arithmetic as on dense terms, and
+    an offset no term of a formula has reads the scalar 0.0."""
     at = {k: {key: term.get(k, 0.0) for key, term in terms.items()} for k in set().union(*terms.values())}
-    bands = ({k: _FORMULAS[name](params, t) for k, t in at.items()} for name in names)
-    return tuple(OperatorMatrix(space, _dense(space, b), hermitian=True) for b in bands)
+    return tuple({k: _FORMULAS[name](params, t) for k, t in at.items()} for name in names)
+
+
+def _operators(params: ModelParams, space: HilbertSpace, terms, *names: str) -> tuple[OperatorMatrix, ...]:
+    """Hermiticity-checked `_FORMULAS` operators: each `_bands` entry densified, entry for entry."""
+    return tuple(OperatorMatrix(space, _dense(space, b), hermitian=True) for b in _bands(params, terms, *names))
 
 
 def build_rabi(params: ModelParams, space: HilbertSpace) -> OperatorMatrix:
@@ -184,23 +189,30 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
     symmetrically for exp(-i omega t N_bar). t is a time or an array of
     times; returns the worst max-abs entrywise deviation over both frames
     and all times, zero up to roundoff for any finite t and 0.0 for no times.
-    The term table is formed and the operators are built once; the times
-    are visited one by one so memory stays O(d^2).
+
+    Every operator involved is banded, so the conjugated and expected
+    entries are formed on the term table's diagonals alone, for a block of
+    d times at once; memory stays O(d^2). Off the diagonals the dense form
+    subtracts 0 from 0, so the value returned is the dense form's float.
+    The operators are read as `_bands` and never built: the `hermiticity`
+    check of `verify`, not this one, covers the built operators.
     """
     tt = np.reshape(_times(t), -1)
     terms = _terms(space)
-    h_rabi, h_rf, h_crf = (op.entries for op in _operators(params, space, terms, "rabi", "rf", "crf"))
-    w, g = params.omega, params.g
-    splits = (
-        (terms["n_jc"][0], h_rf, _dense(space, terms["a_sm"]), _dense(space, terms["ad_sp"])),
-        (terms["n_ajc"][0], h_crf, _dense(space, terms["a_sp"]), _dense(space, terms["ad_sm"])),
-    )
+    h_rabi, h_rf, h_crf = _bands(params, terms, "rabi", "rf", "crf")
+    w, g, d = params.omega, params.g, space.dim
+    splits = ((terms["n_jc"][0], h_rf, terms["a_sm"], terms["ad_sp"]), (terms["n_ajc"][0], h_crf, terms["a_sp"], terms["ad_sm"]))
+    # band k holds the entries (i, i + k) for the rows i of `rows`, the columns i + k of `cols`
+    spans = [(k, slice(max(-k, 0), d + min(-k, 0)), slice(max(k, 0), d + min(k, 0))) for k in h_rabi if abs(k) < d]
     devs = []
-    for tk in tt:
+    for start in range(0, tt.size, d):
+        tk = tt[start:start + d, None]
         slow, fast = np.exp(-2j * w * tk), np.exp(2j * w * tk)
         for numbers, h_eff, lowered, raised in splits:
             phases = np.exp(-1j * w * tk * numbers)
-            conjugated = phases.conj()[:, None] * h_rabi * phases[None, :]
-            expected = h_eff + g * (slow * lowered + fast * raised)
-            devs.append(np.max(np.abs(conjugated - expected)))
+            conj = phases.conj()
+            for k, rows, cols in spans:
+                conjugated = conj[:, rows] * h_rabi[k] * phases[:, cols]
+                expected = h_eff.get(k, 0.0) + g * (slow * lowered.get(k, 0.0) + fast * raised.get(k, 0.0))
+                devs.append(np.max(np.abs(conjugated - expected)))
     return float(np.max(devs, initial=0.0))

@@ -21,7 +21,8 @@ from qrmframes import (
     qubit_operators,
     standard_observables,
 )
-from qrmframes.hilbert import _dense, _terms, primitive_matrices
+from qrmframes.hilbert import _dense, _terms, _times, primitive_matrices
+from qrmframes.model import _operators
 from qrmframes.oracle import interior_commutator_norm
 
 FIG_RF = ModelParams.from_dimensionless(0.0, 0.16)
@@ -315,6 +316,52 @@ def test_frame_conjugation_over_a_time_array_is_the_worst_scalar_call(n_max):
 def test_frame_conjugation_over_no_times_is_zero():
     for t in ([], np.array([]), np.empty((0, 3))):
         assert frame_conjugation_check(FIG_RF, HilbertSpace(4), t) == 0.0
+
+
+def _dense_frame_conjugation_check(params, space, t):
+    """The check on dense d x d operators, one time at a time: the reference the banded check must equal."""
+    tt = np.reshape(_times(t), -1)
+    terms = _terms(space)
+    h_rabi, h_rf, h_crf = (op.entries for op in _operators(params, space, terms, "rabi", "rf", "crf"))
+    w, g = params.omega, params.g
+    splits = (
+        (terms["n_jc"][0], h_rf, _dense(space, terms["a_sm"]), _dense(space, terms["ad_sp"])),
+        (terms["n_ajc"][0], h_crf, _dense(space, terms["a_sp"]), _dense(space, terms["ad_sm"])),
+    )
+    devs = []
+    for tk in tt:
+        slow, fast = np.exp(-2j * w * tk), np.exp(2j * w * tk)
+        for numbers, h_eff, lowered, raised in splits:
+            phases = np.exp(-1j * w * tk * numbers)
+            conjugated = phases.conj()[:, None] * h_rabi * phases[None, :]
+            expected = h_eff + g * (slow * lowered + fast * raised)
+            devs.append(np.max(np.abs(conjugated - expected)))
+    return float(np.max(devs, initial=0.0))
+
+
+def _conjugation_params():
+    """The figure sets and 20 seeded draws, every fourth on the omega0 = 0 edge xi = -eps/2."""
+    rng = np.random.default_rng(2901)
+    drawn = []
+    for i in range(20):
+        eps = 10.0 ** rng.uniform(-2.0, 2.0)
+        drawn.append(ModelParams.from_dimensionless(-0.5 * eps + (0.0 if i % 4 == 0 else rng.uniform(0.0, 3.5)), eps))
+    assert sum(p.omega0 == 0.0 for p in drawn) == 5
+    return [FIG_RF, FIG_CRF, *drawn]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 20, 60, 130])
+@pytest.mark.parametrize("times", ["none", "scalar", "20", "3d+1"])
+def test_banded_frame_conjugation_equals_the_dense_check_bit_for_bit(n_max, times):
+    space = HilbertSpace(n_max)
+    rng = np.random.default_rng(n_max)
+    t = {"none": np.array([]), "scalar": float(rng.uniform(0.0, 30.0)), "20": rng.uniform(0.0, 30.0, size=20),
+         "3d+1": rng.uniform(0.0, 30.0, size=3 * space.dim + 1)}[times]  # 3d + 1 times span four blocks of d
+    # the dense reference takes about 1.7 s per set for 3d + 1 times at n_max = 130, so the wide
+    # spaces run the many-block set on one figure set
+    cases = [FIG_CRF] if times == "3d+1" and n_max >= 60 else _conjugation_params()
+    for params in cases:
+        assert frame_conjugation_check(params, space, t) == _dense_frame_conjugation_check(params, space, t), params
 
 
 def _reference_operators(params, space):

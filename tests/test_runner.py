@@ -18,6 +18,7 @@ from qrmframes import (
     COLUMNS,
     ConfigError,
     ExperimentConfig,
+    HilbertSpace,
     ModelParams,
     beat_modulation_period,
     emit_csv,
@@ -877,6 +878,48 @@ class TestBeatMeasurement:
             beat_modulation_period(tau, np.ones_like(tau))
 
 
+def _dense_parity_deviation(space, hamiltonians):
+    """The parity identities with every conjugation a dense matrix product: the reference for `_parity_deviation`."""
+    n_bar = space.photon_numbers() + np.where(space.excited_mask(), 1, 2)
+    devs = []
+    for k in (1, 2, 3):
+        pi_k = model.build_parity(space, k).entries
+        devs += [pi_k - np.diag(np.where((k * n_bar) % 2 == 0, 1.0, -1.0))] + [pi_k.conj().T @ h @ pi_k - h for h in hamiltonians]
+        if k % 2 == 0:
+            devs.append(pi_k @ pi_k - np.eye(space.dim))
+    return max(float(np.max(np.abs(dev))) for dev in devs)
+
+
+class TestParityDeviation:
+    FIG_CRF = ModelParams.from_dimensionless(1.0 / 1.31, 0.16)
+
+    @pytest.mark.parametrize("n_max", [20, 60])  # d = 42 and 122
+    def test_equals_the_dense_products_bit_for_bit(self, n_max):
+        space = HilbertSpace(n_max)
+        rng = np.random.default_rng(n_max)
+        hamiltonians = []
+        for _ in range(3):
+            a = rng.standard_normal((space.dim, space.dim))
+            hamiltonians.append(a + a.T)
+        # a parity-breaking H reads its own size; the figure Hamiltonians read exactly 0
+        assert runner._parity_deviation(space, hamiltonians) == _dense_parity_deviation(space, hamiltonians) > 0.1
+        built = [h.entries for h in (model.build_rabi(self.FIG_CRF, space), *model.build_components(self.FIG_CRF, space))]
+        assert runner._parity_deviation(space, built) == _dense_parity_deviation(space, built) == 0.0
+
+    def test_a_stray_off_diagonal_entry_fails(self, monkeypatch):
+        space = HilbertSpace(6)
+        real_parity = runner.build_parity
+
+        def stray_parity(space, k):
+            entries = real_parity(space, k).entries.copy()
+            entries[2, 5] = entries[5, 2] = 1e-3
+            return model.OperatorMatrix(space, entries, hermitian=True)
+
+        monkeypatch.setattr(runner, "build_parity", stray_parity)
+        hamiltonians = [model.build_rabi(self.FIG_CRF, space).entries]
+        assert runner._parity_deviation(space, hamiltonians) >= 1e-3
+
+
 class TestVerifySuite:
     def test_default_run_passes(self):
         report = verify_suite()
@@ -1032,11 +1075,12 @@ class TestVerifySuite:
 
         monkeypatch.setattr(model.OperatorMatrix, "__post_init__", counting_init)
         assert verify_suite().passed
-        # per parameter set: 9 built operators, 3 parities, 9 interior
-        # commutators and 3 in the conjugation check; then one Hamiltonian
-        # per compared scenario (16) and 4 per eigenstate check (8). The
-        # compared observables are read as diagonals from the term table.
-        assert len(built) == 72
+        # per parameter set: 9 built operators, 3 parities and 9 interior
+        # commutators; the conjugation check reads the term table's bands and
+        # builds none. Then one Hamiltonian per compared scenario (16) and 4
+        # per eigenstate check (8). The compared observables are read as
+        # diagonals from the term table.
+        assert len(built) == 66
 
     def test_nonzero_pattern_checks_keep_their_floor(self):
         report = verify_suite(tol=1e-15)
