@@ -345,7 +345,8 @@ def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray])
     An operator given as a vector is a diagonal, and so is an OperatorMatrix
     whose entries are exactly diagonal. A diagonal of real dtype is read as
     populations @ diagonal, O(T d) in real arithmetic, from the populations
-    |amps|^2 formed once per trajectory. Any other operator goes through the
+    |amps|^2 formed once per trajectory: real^2, then imag^2 added in place,
+    one (T, d) temporary beside them. Any other operator goes through the
     row-wise complex reduction against the bras: an off-diagonal one after
     one dense matrix product, O(T d^2) in BLAS, a complex diagonal after
     scaling each row. There an imaginary residue above IMAG_TOL raises
@@ -362,7 +363,8 @@ def _expectations(amps: np.ndarray, ops: dict[str, OperatorMatrix | np.ndarray])
             diagonal = np.diagonal(entries)
         if diagonal is not None and not np.iscomplexobj(diagonal):
             if populations is None:
-                populations = amps.real**2 + amps.imag**2
+                populations = np.square(amps.real)
+                populations += np.square(amps.imag)
             out[name] = populations @ np.ascontiguousarray(diagonal)
             continue
         image = amps @ entries.T if diagonal is None else amps * diagonal

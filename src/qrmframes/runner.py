@@ -649,8 +649,8 @@ def _scenario_checks(param_sets, n_max):
                 report = compare_scenario(params, frame, n, grid, n_max=n_max)
                 hamiltonian, psi0 = report.hamiltonian, report.initial
                 t_probe = 7.3 / params.g
-                halves = propagate_series(hamiltonian, propagate_series(hamiltonian, psi0, [t_probe / 2])[0], [t_probe / 2])[0]
-                whole = propagate_series(hamiltonian, psi0, [t_probe])[0]
+                half, whole = propagate_series(hamiltonian, psi0, [t_probe / 2, t_probe])
+                halves = propagate_series(hamiltonian, half, [t_probe / 2])[0]
                 wide = HilbertSpace(report.n_max + 10)  # the widened twin: only its observables are compared
                 wide_raw = oracle._observe(params, frame, analytic.initial_state(params, wide, frame, n), grid)[2]
                 return report, halves, whole, wide_raw

@@ -23,7 +23,7 @@ from qrmframes import (
     qubit_operators,
 )
 from qrmframes.analytic import initial_state
-from qrmframes.hilbert import _evolve_eigen, _propagate
+from qrmframes.hilbert import _evolve_eigen, _expectations, _propagate
 from qrmframes.model import (
     ModelParams,
     build_components,
@@ -506,3 +506,15 @@ def test_a_state_with_every_coefficient_nonzero_propagates_bit_for_bit_as_before
     assert np.all(vecs.conj().T @ amps0 != 0)
     times = np.linspace(0.0, 25.0, 200)
     assert np.array_equal(_evolve_eigen(evals, vecs, amps0, times), _parent_evolve_eigen(evals, vecs, amps0, times))
+
+
+@pytest.mark.parametrize("n_max", [20, 70])  # d = 42 and 142
+def test_populations_read_the_same_floats_as_the_two_temporary_form(n_max):
+    rng = np.random.default_rng(300 + n_max)
+    space = HilbertSpace(n_max)
+    amps = rng.standard_normal((200, space.dim)) + 1j * rng.standard_normal((200, space.dim))
+    diagonals = {name: np.diagonal(op.entries) for name, op in standard_observables(space).items()}
+    diagonals["random"] = rng.standard_normal(space.dim)
+    series = _expectations(amps, diagonals)
+    for name, diagonal in diagonals.items():
+        assert np.array_equal(series[name], (amps.real**2 + amps.imag**2) @ np.ascontiguousarray(diagonal)), name

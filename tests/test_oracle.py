@@ -88,6 +88,21 @@ def test_half_step_composition():
     assert np.max(np.abs(two_step.amps - one_step.amps)) <= 1e-11
 
 
+@pytest.mark.parametrize("frame,params", [("rf", FIG_RF), ("crf", FIG_CRF)])
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+def test_one_series_call_gives_the_single_time_states(frame, params, n):
+    # verify's composition check reads its half and whole states from one call on each scenario's Hamiltonian;
+    # the (k, 2) and (k, 1) phase blocks may meet different BLAS kernels, so a few ulps of |amp| <= 1 are allowed
+    space = HilbertSpace(n + 20)
+    hamiltonian = build_effective(params, space)[FRAMES[frame].hamiltonian]
+    psi0 = initial_state(params, space, frame, n)
+    t = 7.3 / params.g
+    half, whole = propagate_series(hamiltonian, psi0, [t / 2.0, t])
+    ulps = 4 * np.finfo(float).eps
+    assert np.max(np.abs(half.amps - propagate_series(hamiltonian, psi0, [t / 2.0])[0].amps)) <= ulps
+    assert np.max(np.abs(whole.amps - propagate_series(hamiltonian, psi0, [t])[0].amps)) <= ulps
+
+
 def test_standard_observable_values_on_basis_states():
     space = HilbertSpace(3)
     ops = standard_observables(space)
@@ -386,6 +401,8 @@ def test_comparison_report_carries_the_compared_trajectory(frame, params, n):
     assert len(replay) == len(states)
     for psi, original in zip(replay, states):
         assert np.array_equal(psi.amps, original.amps)
+    # the state deviation is read against the carried trajectory, which the comparison leaves as propagated
+    assert report.max_state_dev == float(np.max(np.abs(evolve_series(params, space, frame, n, grid) - report.amps)))
 
 
 def test_column_maps_are_the_frame_table_maps():

@@ -337,7 +337,18 @@ def edge_bundle(rows):
     return TimeSeriesBundle(config=ExperimentConfig(frame="rf"), tau=tau, series=series)
 
 
+def every_column_edge_bundle(rows):
+    """A bundle whose six columns, tau included, all hold the edge values, each in its own order."""
+    tau, *series = (np.resize(np.roll(EDGE_VALUES, 2 * k), rows) for k in range(len(COLUMNS) + 1))
+    return TimeSeriesBundle(config=ExperimentConfig(frame="rf"), tau=tau, series=dict(zip(COLUMNS, series)))
+
+
 class TestEmissionMatchesScalarReference:
+    @pytest.mark.parametrize("rows", [runner.FIGURE_STEPS, CSV_BLOCK_ROWS + 1])  # a figure-set CSV, two blocks
+    def test_csv_edge_values_in_every_column(self, tmp_path, rows):
+        bundle = every_column_edge_bundle(rows)
+        assert emit_csv(bundle, tmp_path / "edge.csv").read_bytes() == csv_reference(bundle)
+
     @pytest.mark.parametrize(
         "rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS]
     )
