@@ -229,13 +229,6 @@ def _dense(space: HilbertSpace, bands: dict[int, np.ndarray]) -> np.ndarray:
     return matrix
 
 
-def primitive_matrices(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Real ladder and qubit matrices: the `_terms` keys a, ad, ata, sz, sm,
-    sp and eye, each equal to its kron(photon, qubit) construction bit for bit."""
-    t = _terms(space)
-    return {key: _dense(space, t[key]) for key in ("a", "ad", "ata", "sz", "sm", "sp", "eye")}
-
-
 def fock_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Annihilation and creation operators on the photon factor.
 
@@ -243,8 +236,8 @@ def fock_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]
     exact on every level, while a a^dag is wrong on the top level; prefer
     the algebraic forms from the model builders when that matters.
     """
-    p = primitive_matrices(space)
-    return OperatorMatrix(space, p["a"]), OperatorMatrix(space, p["ad"])
+    t = _terms(space)
+    return OperatorMatrix(space, _dense(space, t["a"])), OperatorMatrix(space, _dense(space, t["ad"]))
 
 
 def qubit_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -252,12 +245,8 @@ def qubit_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix
 
     s_z has eigenvalues -1/2 on |g> and +1/2 on |e>; s_minus maps |e> to |g>.
     """
-    p = primitive_matrices(space)
-    return (
-        OperatorMatrix(space, p["sz"], hermitian=True),
-        OperatorMatrix(space, p["sm"]),
-        OperatorMatrix(space, p["sp"]),
-    )
+    t = _terms(space)
+    return tuple(OperatorMatrix(space, _dense(space, t[key]), hermitian=key == "sz") for key in ("sz", "sm", "sp"))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

@@ -192,8 +192,11 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
 
     Every operator involved is banded, so the conjugated and expected
     entries are formed on the term table's diagonals alone, for a block of
-    d times at once; memory stays O(d^2). Off the diagonals the dense form
-    subtracts 0 from 0, so the value returned is the dense form's float.
+    d times at once; memory stays O(d^2). Conjugation puts the phase
+    exp(i omega t (N_i - N_j)) on entry (i, j); it is formed as
+    turn ** (N_i - N_j) with turn = exp(i omega t), and on the bands the
+    differences are small integers, so the phase carries a few ulps rather
+    than the roundoff of the large angles omega t N.
     The operators are read as `_bands` and never built: the `hermiticity`
     check of `verify`, not this one, covers the built operators.
     """
@@ -207,12 +210,10 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
     devs = []
     for start in range(0, tt.size, d):
         tk = tt[start:start + d, None]
-        slow, fast = np.exp(-2j * w * tk), np.exp(2j * w * tk)
+        slow, fast, turn = np.exp(-2j * w * tk), np.exp(2j * w * tk), np.exp(1j * w * tk)
         for numbers, h_eff, lowered, raised in splits:
-            phases = np.exp(-1j * w * tk * numbers)
-            conj = phases.conj()
             for k, rows, cols in spans:
-                conjugated = conj[:, rows] * h_rabi[k] * phases[:, cols]
+                conjugated = turn ** (numbers[rows] - numbers[cols]) * h_rabi[k]
                 expected = h_eff.get(k, 0.0) + g * (slow * lowered.get(k, 0.0) + fast * raised.get(k, 0.0))
                 devs.append(np.max(np.abs(conjugated - expected)))
     return float(np.max(devs, initial=0.0))

@@ -77,8 +77,9 @@ class ExperimentConfig:
     Physical parameters derive as omega = epsilon*g, delta = 2*xi*g,
     omega0 = delta + omega; tau_k = k * tau_max / (steps - 1). n_max is the
     photon truncation echoed for matrix cross-checks (closed forms never
-    truncate); it must reach n + 1, where the evolved support ends. xi,
-    epsilon, g and tau_max are stored as Python floats once validated, and
+    truncate); it must reach n + 1, where the evolved support ends. n,
+    steps and n_max are stored as Python ints and xi, epsilon, g and
+    tau_max as Python floats once validated (numpy scalars included), and
     `ModelParams` judges omega (reported against epsilon) and omega0 (xi);
     the physical horizon tau_max / g must be finite (reported against tau_max).
     """
@@ -100,10 +101,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _finite(value) and not (name == "n_max" and value is None):
                 raise ConfigError(name, f"must be a finite number, got {value!r}")
-        for name, least in (("n", 0), ("steps", 2), ("n_max", self.n + 1)):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= least) and not (name == "n_max" and value is None):
+        for name in ("n", "steps", "n_max"):
+            value, least = getattr(self, name), {"n": 0, "steps": 2, "n_max": self.n + 1}[name]
+            if not (isinstance(value, (int, np.integer)) and value >= least) and not (name == "n_max" and value is None):
                 raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, value if value is None else int(value))
         for name in ("xi", "epsilon", "g", "tau_max"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.g <= 0:  # first, so that omega = epsilon*g does not charge a bad g to epsilon

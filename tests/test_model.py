@@ -21,7 +21,8 @@ from qrmframes import (
     qubit_operators,
     standard_observables,
 )
-from qrmframes.hilbert import _dense, _terms, _times, primitive_matrices
+from qrmframes import model
+from qrmframes.hilbert import _dense, _terms, _times
 from qrmframes.model import _operators
 from qrmframes.oracle import interior_commutator_norm
 
@@ -116,6 +117,23 @@ def test_rabi_is_the_sum_of_the_frame_hamiltonians_at_half_frequencies():
         h = build_rabi(ModelParams(omega, omega0, g), space).entries
         h_rf, h_crf = build_effective(ModelParams(omega / 2, omega0 / 2, g), space)
         assert np.max(np.abs(h_rf.entries + h_crf.entries - h)) <= 4 * unit_roundoff * np.max(np.abs(h)), draw
+
+
+def test_anisotropic_rabi_is_the_sum_of_frame_hamiltonians_with_their_own_couplings():
+    # the two-coupling split: H_rf(w/2, w0/2, g_r) + H_crf(w/2, w0/2, g_c) is the anisotropic Rabi model
+    # w(a^dag a + 1/2) + w0 s_z + g_r(a s+ + a^dag s-) + g_c(a s- + a^dag s+) (Xie et al., PRX 4, 021046, 2014)
+    rng = np.random.default_rng(2031)
+    unit_roundoff = np.finfo(float).eps / 2
+    for draw in range(200):
+        omega, omega0, g_r, g_c = 10.0 ** rng.uniform(-2.0, 2.0, size=4)
+        omega0 = 0.0 if draw % 3 == 0 else omega0
+        space = HilbertSpace(int(rng.integers(0, 200)))
+        p = _kron_primitives(space)
+        a_sp, a_sm = p["a"] @ p["sp"], p["a"] @ p["sm"]  # a commutes with s-+, so a^dag s- = (a s+)^T and a^dag s+ = (a s-)^T
+        h = omega * (p["ata"] + 0.5 * p["eye"]) + omega0 * p["sz"] + g_r * (a_sp + a_sp.T) + g_c * (a_sm + a_sm.T)
+        h_rf = build_effective(ModelParams(omega / 2, omega0 / 2, g_r), space)[0].entries
+        h_crf = build_effective(ModelParams(omega / 2, omega0 / 2, g_c), space)[1].entries
+        assert np.max(np.abs(h_rf + h_crf - h)) <= 4 * unit_roundoff * np.max(np.abs(h)), draw
 
 
 def test_number_operator_spectra():
@@ -288,15 +306,11 @@ def _kron_primitives(space):
 @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40, 70])
 def test_primitive_matrices_equal_the_kron_construction(n_max):
     space = HilbertSpace(n_max)
-    built = primitive_matrices(space)
     reference = _kron_primitives(space)
-    assert built.keys() == reference.keys()
-    for name, matrix in reference.items():
-        assert built[name].dtype == np.float64
-        assert np.array_equal(built[name], matrix), name
     a, ad = fock_operators(space)
     s_z, s_minus, s_plus = qubit_operators(space)
     for op, name in ((a, "a"), (ad, "ad"), (s_z, "sz"), (s_minus, "sm"), (s_plus, "sp")):
+        assert op.entries.dtype == np.float64 and op.hermitian == (name == "sz"), name
         assert np.array_equal(op.entries, reference[name]), name
 
 
@@ -330,10 +344,11 @@ def _dense_frame_conjugation_check(params, space, t):
     )
     devs = []
     for tk in tt:
-        slow, fast = np.exp(-2j * w * tk), np.exp(2j * w * tk)
+        slow, fast, turn = np.exp(-2j * w * tk), np.exp(2j * w * tk), np.exp(1j * w * tk)
         for numbers, h_eff, lowered, raised in splits:
-            phases = np.exp(-1j * w * tk * numbers)
-            conjugated = phases.conj()[:, None] * h_rabi * phases[None, :]
+            # the phase exp(i w t (N_i - N_j)) of entry (i, j), formed only where H_rabi is nonzero
+            phases = np.power(turn, numbers[:, None] - numbers[None, :], where=h_rabi != 0, out=np.zeros(h_rabi.shape, complex))
+            conjugated = phases * h_rabi
             expected = h_eff + g * (slow * lowered + fast * raised)
             devs.append(np.max(np.abs(conjugated - expected)))
     return float(np.max(devs, initial=0.0))
@@ -364,10 +379,38 @@ def test_banded_frame_conjugation_equals_the_dense_check_bit_for_bit(n_max, time
         assert frame_conjugation_check(params, space, t) == _dense_frame_conjugation_check(params, space, t), params
 
 
+@pytest.mark.parametrize("n_max", [200, 400])
+def test_frame_conjugation_stays_at_roundoff_in_wide_spaces(n_max):
+    # the phase of each band entry comes from the small integer N_i - N_j, not from the angles w t N up to w t (n_max + 2)
+    space = HilbertSpace(n_max)
+    times = np.random.default_rng(n_max).uniform(0.0, 30.0, size=20)
+    for params in (FIG_RF, FIG_CRF):
+        assert frame_conjugation_check(params, space, times) <= 1e-13, params
+
+
+def _off_by_one_number(space):
+    """The term table with n_jc one too large at a single basis index."""
+    terms = _terms(space)
+    terms["n_jc"] = {0: terms["n_jc"][0].copy()}
+    terms["n_jc"][0][space.dim // 2] += 1.0
+    return terms
+
+
+@pytest.mark.parametrize("wrong", ["rf coupling 1 % off", "n_jc off by one"])
+def test_frame_conjugation_detects_a_wrong_operator(monkeypatch, wrong):
+    if wrong == "rf coupling 1 % off":
+        monkeypatch.setitem(model._FORMULAS, "rf", lambda p, t: p.omega * t["n_jc"] + p.delta * t["sz"] + 1.01 * p.g * t["jc"])
+    else:
+        monkeypatch.setattr(model, "_terms", _off_by_one_number)
+    times = np.random.default_rng(5).uniform(0.0, 30.0, size=20)
+    for params in (FIG_RF, FIG_CRF):
+        assert frame_conjugation_check(params, HilbertSpace(20), times) > 1e-3, params
+
+
 def _reference_operators(params, space):
     """Every builder and the raw observable set written out term by term from
-    the primitive set, each interaction product formed by its own matmul."""
-    p = primitive_matrices(space)
+    the kron primitives, each interaction product formed by its own matmul."""
+    p = _kron_primitives(space)
     n_jc = p["ata"] + p["sp"] @ p["sm"]
     n_ajc = p["ata"] + p["eye"] + p["sm"] @ p["sp"]
     w, w0, g, delta, delta_bar = params.omega, params.omega0, params.g, params.delta, params.delta_bar

@@ -129,6 +129,19 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_json(cfg.to_json()) == cfg
         assert run_experiment(cfg).series["n_ajc"].shape == (3,)
 
+    def test_numpy_integers_are_stored_as_python_ints(self, tmp_path):
+        cfg = ExperimentConfig(frame="crf", n=3, steps=50, n_max=9)
+        numpy_cfg = ExperimentConfig(frame="crf", n=np.int64(3), steps=np.int32(50), n_max=np.uint8(9))
+        assert numpy_cfg == cfg
+        assert all(type(getattr(numpy_cfg, name)) is int for name in ("n", "steps", "n_max"))
+        assert numpy_cfg.to_json() == cfg.to_json()
+        paths = [emit_csv(run_experiment(c), tmp_path / f"{i}.csv") for i, c in enumerate((cfg, numpy_cfg))]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        for field, value in (("n", True), ("n", np.float64(3.0)), ("steps", np.float64(50.0)), ("n_max", np.float64(9.0))):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(frame="crf", **{field: value})
+            assert err.value.field == field
+
     def test_booleans_summed_to_an_integer_are_rejected(self):
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(frame="rf", n=True, xi=True, epsilon=True, steps=True + True)
