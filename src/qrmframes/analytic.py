@@ -137,7 +137,7 @@ def _eigenstate(
 ) -> tuple[np.ndarray, float]:
     """(amplitudes, energy) of `ajc_eigenstate` (rf) or `jc_eigenstate` (crf): the
     `spec.dressing` doublet on {|top_atom, n>, |bottom_atom, n-1>}, with bare
-    amplitude 1 + sign*c for top atom e and 1 - sign*c for top atom g; at
+    amplitude 1 + x, x = +-sign*c for top atom e/g, as s^2 / (1 - x) if x < 0; at
     n = 0 the bare state, energy (+-c) * rabi. Needs n_max >= n: the support
     ends at photon n, and `space.index` raises TruncationError above n_max.
     """
@@ -152,7 +152,7 @@ def _eigenstate(
     if n == 0:
         amps[space.index(spec.top_atom, 0)] = 1.0
         return amps, c * rabi
-    amps[space.index(spec.top_atom, n)] = 1.0 + sign * c
+    amps[space.index(spec.top_atom, n)] = 1.0 + x if (x := sign * c) >= 0 else s * s / (1.0 - x)  # no cancellation as x -> -1
     amps[space.index(spec.bottom_atom, n - 1)] = sign * s
     amps /= np.linalg.norm(amps)
     return amps, params.omega * n + sign * rabi

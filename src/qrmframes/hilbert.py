@@ -3,11 +3,12 @@
 Basis convention: |atom, n> sits at index 2*n + (1 if atom == 'e' else 0),
 with photon numbers 0..n_max, so tightening or relaxing the truncation only
 removes or appends trailing rows and columns. All frequencies are angular
-with hbar = 1. States and operators are dense arrays, formed from an O(d)
-table of banded terms (`_terms`) only where an operator is built. States are
-complex; an operator is stored float64 when its input is real (every operator
-of the model) and complex128 otherwise, and that dtype alone decides where
-decomposition, propagation and expectation values run in real arithmetic.
+with hbar = 1. States and operators are dense arrays, formed only where an
+operator is built from an O(d) table of banded terms (`HilbertSpace._terms`),
+built once per space. States are complex; an operator is stored float64 when
+its input is real (every operator of the model) and complex128 otherwise, and
+that dtype alone decides where decomposition, propagation and expectation
+values run in real arithmetic.
 The one symmetry used is the QRM parity, excitation number mod 2: an
 operator's sector table holds both parity sectors when its entries are
 exactly zero between them, else the whole space, and a sector's row gains
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-13
-_HERMITICITY_BLOCK = 256  # rows per step of the construction-time Hermiticity check
+_HERMITICITY_BLOCK = 256  # rows per step of `_hermiticity_deviation`
 IMAG_TOL = 1e-12
 NORM_TOL = 1e-10
 
@@ -77,16 +78,49 @@ class HilbertSpace:
         return 2 * n + (1 if atom == "e" else 0)
 
     def photon_numbers(self) -> np.ndarray:
-        """Photon number carried by each basis index."""
-        return np.repeat(np.arange(self.n_max + 1), 2)
+        """Photon number carried by each basis index: n of i = 2n + e."""
+        return np.arange(self.dim) // 2
 
     def excited_mask(self) -> np.ndarray:
-        """Boolean mask over basis indices where the atom is excited."""
-        return np.tile(np.array([False, True]), self.n_max + 1)
+        """Boolean mask over basis indices where the atom is excited: e of i = 2n + e."""
+        return np.arange(self.dim) % 2 == 1
 
     def excitations(self) -> np.ndarray:
         """Excitation number a^dag a + s+ s- of each basis index; its parity is the QRM parity."""
         return self.photon_numbers() + self.excited_mask()
+
+    @cached_property
+    def _terms(self) -> dict[str, dict[int, np.ndarray]]:
+        """The term table every operator of the model is a weighted sum of, O(d), built on first read.
+
+        Each term is held as its read-only nonzero diagonals {offset k: entries (i, i + k)}, all on the offsets
+        0, +-1, +-2 and +-3; `_dense` gives its matrix, equal bit for bit to the kron/matmul construction. Keys:
+        a, ad (a^dag), ata (a^dag a, held as the exact integers diag(n) (x) 1, not as the roundoff of ad @ a),
+        eye, sz, sm (s-), sp (s+); the projectors sp_sm (s+ s-) and sm_sp (s- s+); a_ad, the algebraic
+        a^dag a + 1; the conserved numbers n_jc and n_ajc; the interaction half-products a_sp, ad_sm, a_sm,
+        ad_sp and their sums jc = a s+ + a^dag s- and ajc = a s- + a^dag s+.
+        """
+        n, excited = self.photon_numbers().astype(float), self.excited_mask()
+        root, sp_sm, sm_sp = np.sqrt(n), excited.astype(float), (~excited).astype(float)
+        # sqrt(n + 1) couples |e, n> to |g, n + 1> (offset 1) and |g, n> to |e, n + 1> (offset 3)
+        jc, ajc = np.where(excited, np.sqrt(n + 1.0), 0.0)[:-1], np.where(excited, 0.0, np.sqrt(n + 1.0))[:-3]
+        table = {
+            "a": {2: root[2:]}, "ad": {-2: root[2:]}, "ata": {0: n}, "eye": {0: np.ones(self.dim)},
+            "sz": {0: np.where(excited, 0.5, -0.5)}, "sm": {1: sm_sp[:-1]}, "sp": {-1: sm_sp[:-1]},
+            "sp_sm": {0: sp_sm}, "sm_sp": {0: sm_sp}, "a_ad": {0: n + 1.0}, "n_jc": {0: n + sp_sm},
+            "n_ajc": {0: (n + 1.0) + sm_sp}, "a_sp": {1: jc}, "ad_sm": {-1: jc}, "a_sm": {3: ajc}, "ad_sp": {-3: ajc},
+            "jc": {1: jc, -1: jc}, "ajc": {3: ajc, -3: ajc},
+        }
+        for bands in table.values():
+            for vector in bands.values():
+                vector.setflags(write=False)
+        return table
+
+
+def _hermiticity_deviation(entries: np.ndarray) -> float:
+    """max |M - M^dag| entrywise, NaN if an entry is NaN; row blocks bound the temporaries to _HERMITICITY_BLOCK x d."""
+    b = _HERMITICITY_BLOCK
+    return float(reduce(np.maximum, (np.max(np.abs(entries[i:i + b] - entries[:, i:i + b].conj().T)) for i in range(0, len(entries), b))))
 
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
@@ -148,11 +182,8 @@ class OperatorMatrix:
         d = self.space.dim
         if entries.shape != (d, d):
             raise ValueError(f"expected {d}x{d} entries, got shape {entries.shape}")
-        if self.hermitian:  # row blocks bound the check's temporaries to _HERMITICITY_BLOCK x d
-            dev = float(reduce(np.maximum, (
-                np.max(np.abs(entries[i:i + _HERMITICITY_BLOCK] - entries[:, i:i + _HERMITICITY_BLOCK].conj().T))
-                for i in range(0, d, _HERMITICITY_BLOCK)
-            )))
+        if self.hermitian:
+            dev = _hermiticity_deviation(entries)
             if not dev <= HERMITICITY_TOL:  # a NaN deviation fails too
                 raise HermiticityError(
                     f"hermitian tag violated, max entrywise deviation {dev:.3e}"
@@ -192,31 +223,6 @@ def identity(space: HilbertSpace) -> OperatorMatrix:
     return OperatorMatrix(space, np.eye(space.dim), hermitian=True)
 
 
-def _terms(space: HilbertSpace) -> dict[str, dict[int, np.ndarray]]:
-    """The term table every operator of the model is a weighted sum of, O(d).
-
-    Each term is held as its nonzero diagonals {offset k: entries (i, i + k)},
-    all on the offsets 0, +-1, +-2 and +-3; `_dense` gives its matrix, equal
-    bit for bit to the kron/matmul construction. Keys: a, ad (a^dag), ata
-    (a^dag a, held as the exact integers diag(n) (x) 1, not as the roundoff
-    of ad @ a), eye, sz, sm (s-), sp (s+); the projectors sp_sm (s+ s-) and
-    sm_sp (s- s+); a_ad, the algebraic a^dag a + 1; the conserved numbers
-    n_jc and n_ajc; the interaction half-products a_sp, ad_sm, a_sm, ad_sp
-    and their sums jc = a s+ + a^dag s- and ajc = a s- + a^dag s+.
-    """
-    n, excited = space.photon_numbers().astype(float), space.excited_mask()
-    root, sp_sm, sm_sp = np.sqrt(n), excited.astype(float), (~excited).astype(float)
-    # sqrt(n + 1) couples |e, n> to |g, n + 1> (offset 1) and |g, n> to |e, n + 1> (offset 3)
-    jc, ajc = np.where(excited, np.sqrt(n + 1.0), 0.0)[:-1], np.where(excited, 0.0, np.sqrt(n + 1.0))[:-3]
-    return {
-        "a": {2: root[2:]}, "ad": {-2: root[2:]}, "ata": {0: n}, "eye": {0: np.ones(space.dim)},
-        "sz": {0: np.where(excited, 0.5, -0.5)}, "sm": {1: sm_sp[:-1]}, "sp": {-1: sm_sp[:-1]},
-        "sp_sm": {0: sp_sm}, "sm_sp": {0: sm_sp}, "a_ad": {0: n + 1.0}, "n_jc": {0: n + sp_sm},
-        "n_ajc": {0: (n + 1.0) + sm_sp}, "a_sp": {1: jc}, "ad_sm": {-1: jc}, "a_sm": {3: ajc}, "ad_sp": {-3: ajc},
-        "jc": {1: jc, -1: jc}, "ajc": {3: ajc, -3: ajc},
-    }
-
-
 def _dense(space: HilbertSpace, bands: dict[int, np.ndarray]) -> np.ndarray:
     """The d x d matrix holding each {offset: vector} band on its diagonal, zero elsewhere.
 
@@ -236,8 +242,7 @@ def fock_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]
     exact on every level, while a a^dag is wrong on the top level; prefer
     the algebraic forms from the model builders when that matters.
     """
-    t = _terms(space)
-    return OperatorMatrix(space, _dense(space, t["a"])), OperatorMatrix(space, _dense(space, t["ad"]))
+    return OperatorMatrix(space, _dense(space, space._terms["a"])), OperatorMatrix(space, _dense(space, space._terms["ad"]))
 
 
 def qubit_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -245,8 +250,7 @@ def qubit_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix
 
     s_z has eigenvalues -1/2 on |g> and +1/2 on |e>; s_minus maps |e> to |g>.
     """
-    t = _terms(space)
-    return tuple(OperatorMatrix(space, _dense(space, t[key]), hermitian=key == "sz") for key in ("sz", "sm", "sp"))
+    return tuple(OperatorMatrix(space, _dense(space, space._terms[key]), hermitian=key == "sz") for key in ("sz", "sm", "sp"))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, OperatorMatrix, _dense, _terms, _times
+from .hilbert import HilbertSpace, OperatorMatrix, _dense, _times
 
 __all__ = [
     "ModelParams",
@@ -111,22 +111,22 @@ _FORMULAS = {
 }
 
 
-def _bands(params: ModelParams, terms, *names: str) -> tuple[dict[int, np.ndarray], ...]:
-    """`_FORMULAS` operators as {offset: diagonal}, evaluated offset by offset on the term table; a term without
-    a band at an offset reads 0.0 there, so every entry goes through the same arithmetic as on dense terms, and
-    an offset no term of a formula has reads the scalar 0.0."""
-    at = {k: {key: term.get(k, 0.0) for key, term in terms.items()} for k in set().union(*terms.values())}
+def _bands(params: ModelParams, space: HilbertSpace, *names: str) -> tuple[dict[int, np.ndarray], ...]:
+    """`_FORMULAS` operators as {offset: diagonal}, evaluated offset by offset on the space's term table; a term
+    without a band at an offset reads 0.0 there, so every entry goes through the same arithmetic as on dense terms,
+    and an offset no term of a formula has reads the scalar 0.0."""
+    at = {k: {key: term.get(k, 0.0) for key, term in space._terms.items()} for k in set().union(*space._terms.values())}
     return tuple({k: _FORMULAS[name](params, t) for k, t in at.items()} for name in names)
 
 
-def _operators(params: ModelParams, space: HilbertSpace, terms, *names: str) -> tuple[OperatorMatrix, ...]:
+def _operators(params: ModelParams, space: HilbertSpace, *names: str) -> tuple[OperatorMatrix, ...]:
     """Hermiticity-checked `_FORMULAS` operators: each `_bands` entry densified, entry for entry."""
-    return tuple(OperatorMatrix(space, _dense(space, b), hermitian=True) for b in _bands(params, terms, *names))
+    return tuple(OperatorMatrix(space, _dense(space, b), hermitian=True) for b in _bands(params, space, *names))
 
 
 def build_rabi(params: ModelParams, space: HilbertSpace) -> OperatorMatrix:
     """Full Rabi Hamiltonian omega(a^dag a + 1/2) + omega0 s_z + g(a + a^dag)(s- + s+)."""
-    return _operators(params, space, _terms(space), "rabi")[0]
+    return _operators(params, space, "rabi")[0]
 
 
 def build_number_ops(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -135,8 +135,7 @@ def build_number_ops(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatri
     Rotating: a^dag a + s+ s-. Counter-rotating: a^dag a + 1 + s- s+, the
     truncation-exact form; the two differ by 2 s- s+ entrywise.
     """
-    t = _terms(space)
-    return tuple(OperatorMatrix(space, _dense(space, t[key]), hermitian=True) for key in ("n_jc", "n_ajc"))
+    return tuple(OperatorMatrix(space, _dense(space, space._terms[key]), hermitian=True) for key in ("n_jc", "n_ajc"))
 
 
 def build_components(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -145,7 +144,7 @@ def build_components(params: ModelParams, space: HilbertSpace) -> tuple[Operator
     Each component doubles its own interaction term and subtracts omega/2,
     so that (H_rot + H_counter) / 2 reproduces `build_rabi` entrywise.
     """
-    return _operators(params, space, _terms(space), "rot", "counter")
+    return _operators(params, space, "rot", "counter")
 
 
 def build_effective(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -154,7 +153,7 @@ def build_effective(params: ModelParams, space: HilbertSpace) -> tuple[OperatorM
     Rotating frame: omega N + delta s_z + g(a s+ + a^dag s-).
     Counter-rotating frame: omega (N_bar - 1) + delta_bar s_z + g(a s- + a^dag s+).
     """
-    return _operators(params, space, _terms(space), "rf", "crf")
+    return _operators(params, space, "rf", "crf")
 
 
 def build_transition_ops(params: ModelParams, space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -164,7 +163,7 @@ def build_transition_ops(params: ModelParams, space: HilbertSpace) -> tuple[Oper
     on the interior block. Counter-rotating: delta_bar s_z + g(a s- + a^dag s+),
     squaring to delta_bar^2/4 + g^2 (N_bar - 1) there.
     """
-    return _operators(params, space, _terms(space), "t_jc", "t_ajc")
+    return _operators(params, space, "t_jc", "t_ajc")
 
 
 def build_parity(space: HilbertSpace, k: int) -> OperatorMatrix:
@@ -201,8 +200,8 @@ def frame_conjugation_check(params: ModelParams, space: HilbertSpace, t) -> floa
     check of `verify`, not this one, covers the built operators.
     """
     tt = np.reshape(_times(t), -1)
-    terms = _terms(space)
-    h_rabi, h_rf, h_crf = _bands(params, terms, "rabi", "rf", "crf")
+    terms = space._terms
+    h_rabi, h_rf, h_crf = _bands(params, space, "rabi", "rf", "crf")
     w, g, d = params.omega, params.g, space.dim
     splits = ((terms["n_jc"][0], h_rf, terms["a_sm"], terms["ad_sp"]), (terms["n_ajc"][0], h_crf, terms["a_sp"], terms["ad_sm"]))
     # band k holds the entries (i, i + k) for the rows i of `rows`, the columns i + k of `cols`

@@ -25,7 +25,6 @@ from .hilbert import (
     _expectations,
     _propagate,
     _require_same_space,
-    _terms,
     commutator,
 )
 from .model import ModelParams, _operators
@@ -99,8 +98,7 @@ def standard_observables(space: HilbertSpace) -> dict[str, OperatorMatrix]:
     with support below the top photon level; the number operators are the
     model's own for the same reason. All seven are diagonal: the oracle reads them off the table.
     """
-    t = _terms(space)
-    return {name: OperatorMatrix(space, _dense(space, t[key]), hermitian=True) for name, key in _OBSERVABLE_TERMS.items()}
+    return {name: OperatorMatrix(space, _dense(space, space._terms[key]), hermitian=True) for name, key in _OBSERVABLE_TERMS.items()}
 
 
 def observable_series(
@@ -130,11 +128,10 @@ def _observe(
     space, psi0's read-only (T, d) trajectory under it on the grid, and that
     trajectory's `standard_observables` series, read from the term table."""
     space = psi0.space
-    terms = _terms(space)
-    (hamiltonian,) = _operators(params, space, terms, frame)
+    (hamiltonian,) = _operators(params, space, frame)
     amps = _trajectory(hamiltonian, psi0, grid)
     amps.setflags(write=False)
-    return hamiltonian, amps, _expectations(amps, {name: terms[key][0] for name, key in _OBSERVABLE_TERMS.items()})
+    return hamiltonian, amps, _expectations(amps, {name: space._terms[key][0] for name, key in _OBSERVABLE_TERMS.items()})
 
 
 def compare_scenario(

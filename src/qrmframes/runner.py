@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericConsistencyError, TruncationError
-from .hilbert import HilbertSpace
+from .hilbert import HERMITICITY_TOL, HilbertSpace, _hermiticity_deviation
 from .model import ModelParams, _finite, build_components, build_effective, build_number_ops, build_parity, build_rabi, build_transition_ops, frame_conjugation_check
 from .oracle import compare_scenario, interior_commutator_norm, interior_projector, propagate_series
 from . import analytic, oracle
@@ -606,9 +606,8 @@ def _algebra_checks(param_sets, n_max, rng):
         h_rf, h_crf = build_effective(params, space)
         n_jc, n_ajc = build_number_ops(space)
         t_jc, t_ajc = build_transition_ops(params, space)
-        yield f"hermiticity {tag}", "max<=", 1e-13, lambda: max(
-            np.max(np.abs(op.entries - op.entries.conj().T))
-            for op in (h_rabi, h_rot, h_counter, h_rf, h_crf, n_jc, n_ajc, t_jc, t_ajc)
+        yield f"hermiticity {tag}", "max<=", HERMITICITY_TOL, lambda: max(
+            _hermiticity_deviation(op.entries) for op in (h_rabi, h_rot, h_counter, h_rf, h_crf, n_jc, n_ajc, t_jc, t_ajc)
         )
         yield f"component mean {tag}", "max<=", 1e-13, lambda: np.max(
             np.abs(h_rabi.entries - 0.5 * (h_rot.entries + h_counter.entries))

@@ -411,8 +411,9 @@ def reference_eigenstate(params, space, family, n, sign):
 
     ajc: {|e,n>, |g,n-1>} with detuning delta_bar and amplitudes (1 + sign c, sign s);
     jc: {|g,n>, |e,n-1>} with detuning delta and amplitudes (1 - sign c, sign s);
-    both with photon factor n and energy omega n + sign R. At n = 0 the bare
-    state, with energy +delta_bar/2 (ajc) or -delta/2 (jc).
+    both with photon factor n and energy omega n + sign R, the bare amplitude
+    1 + x taken as s^2 / (1 - x) for x < 0. At n = 0 the bare state, with
+    energy +delta_bar/2 (ajc) or -delta/2 (jc).
     """
     if family == "ajc":
         bare, partner, half = "e", "g", 0.5 * params.delta_bar
@@ -424,7 +425,8 @@ def reference_eigenstate(params, space, family, n, sign):
         return amps, (0.5 * params.delta_bar if family == "ajc" else -0.5 * params.delta)
     rabi = math.hypot(params.g * math.sqrt(n), half)
     c, s = half / rabi, params.g * math.sqrt(n) / rabi
-    amps[space.index(bare, n)] = 1.0 + sign * c if family == "ajc" else 1.0 - sign * c
+    x = sign * c if family == "ajc" else -sign * c
+    amps[space.index(bare, n)] = 1.0 + x if x >= 0 else s * s / (1.0 - x)
     amps[space.index(partner, n - 1)] = sign * s
     amps /= np.linalg.norm(amps)
     return amps, params.omega * n + sign * rabi
@@ -447,6 +449,22 @@ def test_eigenstates_equal_the_scalar_reference_exactly(family, sign, n, xi, eps
     amps, ref_energy = reference_eigenstate(params, space, family, n, sign)
     assert np.array_equal(state.amps, amps)
     assert energy == ref_energy
+
+
+@pytest.mark.parametrize("eps", [1e4, 1e6, 1e8])
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("family", ["ajc", "jc"])
+def test_minus_branch_eigenstates_keep_their_bare_amplitude_far_off_resonance(family, n, eps):
+    # omega0 = 0 and eps >> 1: sign * c -> -1 on both minus branches, where 1 + sign * c cancels to roundoff
+    params = ModelParams(omega=eps, omega0=0.0, g=1.0)
+    space = HilbertSpace(8)
+    h_rf, h_crf = build_effective(params, space)
+    state, energy = (ajc_eigenstate if family == "ajc" else jc_eigenstate)(params, space, n, -1)
+    h = h_crf if family == "ajc" else h_rf
+    top, bottom = ("e", "g") if family == "ajc" else ("g", "e")
+    pair = [space.index(top, n), space.index(bottom, n - 1)]
+    residual = np.max(np.abs(h.entries @ state.amps - energy * state.amps))
+    assert residual <= 8 * np.finfo(float).eps * np.max(np.abs(h.entries[np.ix_(pair, pair)]))
 
 
 def closed_form_spectrum(params, frame, n_max):

@@ -23,7 +23,7 @@ from qrmframes import (
     qubit_operators,
 )
 from qrmframes.analytic import initial_state
-from qrmframes.hilbert import _evolve_eigen, _expectations, _propagate
+from qrmframes.hilbert import _evolve_eigen, _expectations, _hermiticity_deviation, _propagate
 from qrmframes.model import (
     ModelParams,
     build_components,
@@ -63,6 +63,23 @@ def test_photon_numbers_and_excited_mask():
     space = HilbertSpace(2)
     assert list(space.photon_numbers()) == [0, 0, 1, 1, 2, 2]
     assert list(space.excited_mask()) == [False, True, False, True, False, True]
+    for n_max in (0, 1, 7, 300):
+        space = HilbertSpace(n_max)
+        photons, excited = space.photon_numbers(), space.excited_mask()
+        assert photons.dtype == np.arange(1).dtype and excited.dtype == np.bool_
+        assert np.array_equal(photons, np.repeat(np.arange(n_max + 1), 2))
+        assert np.array_equal(excited, np.tile([False, True], n_max + 1))
+        assert all(space.index(atom, n) == i for i, (n, atom) in enumerate(zip(photons, np.where(excited, "e", "g"))))
+
+
+def test_term_table_is_built_once_per_space_and_read_only():
+    space = HilbertSpace(4)
+    assert space._terms is space._terms
+    assert HilbertSpace(4)._terms is not space._terms  # equal spaces, one table per object
+    for bands in space._terms.values():
+        for vector in bands.values():
+            with pytest.raises(ValueError):
+                vector[...] = 0.0
 
 
 def test_basis_state_placement():
@@ -185,6 +202,15 @@ def test_hermiticity_check_rejects_nan():
     entries[300, 290] = 1.0  # asymmetric by 1.0, in the other row block
     with pytest.raises(HermiticityError, match="max entrywise deviation nan"):
         OperatorMatrix(space, entries, hermitian=True)
+
+
+def test_hermiticity_deviation_is_the_dense_measure_across_row_blocks():
+    rng = np.random.default_rng(7)
+    for d in (2, 256, 302, 600):
+        entries = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert _hermiticity_deviation(entries) == np.max(np.abs(entries - entries.conj().T))
+        entries[d - 1, 0] = np.nan
+        assert np.isnan(_hermiticity_deviation(entries))
 
 
 def test_evolve_with_identity_at_t0():

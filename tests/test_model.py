@@ -22,7 +22,7 @@ from qrmframes import (
     standard_observables,
 )
 from qrmframes import model
-from qrmframes.hilbert import _dense, _terms, _times
+from qrmframes.hilbert import _dense, _times
 from qrmframes.model import _operators
 from qrmframes.oracle import interior_commutator_norm
 
@@ -335,8 +335,8 @@ def test_frame_conjugation_over_no_times_is_zero():
 def _dense_frame_conjugation_check(params, space, t):
     """The check on dense d x d operators, one time at a time: the reference the banded check must equal."""
     tt = np.reshape(_times(t), -1)
-    terms = _terms(space)
-    h_rabi, h_rf, h_crf = (op.entries for op in _operators(params, space, terms, "rabi", "rf", "crf"))
+    terms = space._terms
+    h_rabi, h_rf, h_crf = (op.entries for op in _operators(params, space, "rabi", "rf", "crf"))
     w, g = params.omega, params.g
     splits = (
         (terms["n_jc"][0], h_rf, _dense(space, terms["a_sm"]), _dense(space, terms["ad_sp"])),
@@ -388,12 +388,14 @@ def test_frame_conjugation_stays_at_roundoff_in_wide_spaces(n_max):
         assert frame_conjugation_check(params, space, times) <= 1e-13, params
 
 
-def _off_by_one_number(space):
-    """The term table with n_jc one too large at a single basis index."""
-    terms = _terms(space)
-    terms["n_jc"] = {0: terms["n_jc"][0].copy()}
-    terms["n_jc"][0][space.dim // 2] += 1.0
-    return terms
+def _off_by_one_number(build):
+    """A term-table property whose n_jc is one too large at a single basis index, on `build`'s uncached table."""
+    def terms_of(space):
+        terms = build(space)
+        terms["n_jc"] = {0: terms["n_jc"][0].copy()}
+        terms["n_jc"][0][space.dim // 2] += 1.0
+        return terms
+    return property(terms_of)
 
 
 @pytest.mark.parametrize("wrong", ["rf coupling 1 % off", "n_jc off by one"])
@@ -401,7 +403,7 @@ def test_frame_conjugation_detects_a_wrong_operator(monkeypatch, wrong):
     if wrong == "rf coupling 1 % off":
         monkeypatch.setitem(model._FORMULAS, "rf", lambda p, t: p.omega * t["n_jc"] + p.delta * t["sz"] + 1.01 * p.g * t["jc"])
     else:
-        monkeypatch.setattr(model, "_terms", _off_by_one_number)
+        monkeypatch.setattr(HilbertSpace, "_terms", _off_by_one_number(HilbertSpace._terms.func))
     times = np.random.default_rng(5).uniform(0.0, 30.0, size=20)
     for params in (FIG_RF, FIG_CRF):
         assert frame_conjugation_check(params, HilbertSpace(20), times) > 1e-3, params
@@ -486,7 +488,7 @@ def _reference_terms(space):
 @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 40])
 def test_term_table_is_banded_and_densifies_to_the_kron_construction(n_max):
     space = HilbertSpace(n_max)
-    table = _terms(space)
+    table = space._terms
     reference = _reference_terms(space)
     assert table.keys() == reference.keys()
     for name, bands in table.items():
@@ -500,7 +502,7 @@ def test_term_table_is_banded_and_densifies_to_the_kron_construction(n_max):
 
 def test_term_table_is_linear_in_the_dimension():
     space = HilbertSpace(1000)
-    total = sum(vector.nbytes for bands in _terms(space).values() for vector in bands.values())
+    total = sum(vector.nbytes for bands in space._terms.values() for vector in bands.values())
     assert total < 64 * space.dim * 8
 
 

@@ -1,5 +1,6 @@
 """Experiment configs, artifact emission, figure set, beat measurement, verify."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -1088,6 +1089,23 @@ class TestVerifySuite:
         # one call per parameter set for the algebra checks and one for the
         # eigenstate checks; the builders and the oracle read the term table
         assert calls == [20, 20, 50, 50]
+
+    def test_term_tables_per_default_run(self, monkeypatch):
+        built = []
+        cached = HilbertSpace._terms
+
+        def counting_terms(space):
+            built.append(space.n_max)
+            return cached.func(space)
+
+        counting = functools.cached_property(counting_terms)
+        counting.__set_name__(HilbertSpace, "_terms")
+        monkeypatch.setattr(HilbertSpace, "_terms", counting)
+        assert verify_suite().passed
+        # one table per space object: one shared by the algebra checks, two per
+        # compared scenario (its truncation and the robustness check's, 10 photons
+        # wider) and one per eigenstate check; 32 when each builder made its own
+        assert built == [20, *[20, 30, 21, 31, 25, 35, 60, 70] * 2, 50, 50]
 
     def test_operator_objects_per_default_run(self, monkeypatch):
         built = []
