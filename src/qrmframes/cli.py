@@ -1,11 +1,12 @@
 """Command line interface: evolve one scenario, rebuild the figure set, or
 run the verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration
+Exit codes: 0 success, 1 verification failure (a package error raised
+inside a verify check is that check's FAIL line), 2 invalid configuration
 (including a verify --tol that is not a finite number > 0, or a --nmax
 below 2 or whose dense operator cannot be indexed or exceeds physical
 memory), 3 I/O error, 4 numerical error (a consistency, truncation or
-Hermiticity check failed while computing).
+Hermiticity check failed while computing evolve or figures).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericConsistencyError, TruncationError
+from .errors import ConfigError, NumericConsistencyError, QrmError, TruncationError
 from .hilbert import HERMITICITY_TOL, HilbertSpace, _hermiticity_deviation
 from .model import ModelParams, _finite, build_components, build_effective, build_number_ops, build_parity, build_rabi, build_transition_ops, frame_conjugation_check
 from .oracle import compare_scenario, interior_commutator_norm, interior_projector, propagate_series
@@ -520,6 +520,8 @@ def beat_modulation_period(tau, values) -> float:
     dt = np.diff(tau)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("tau grid must be uniform")
+    if not dt[0] > 0:  # else the negative frequencies of a decreasing grid escape the mask
+        raise ValueError(f"tau grid must increase, got step {dt[0]!r}")
     y = values - values.mean()
     y = y * y
     spec = np.fft.rfft(y)
@@ -592,8 +594,7 @@ def _algebra_checks(param_sets, n_max, rng):
     nm = 20 if n_max is None else n_max
     space = HilbertSpace(nm)
     keep, eye = max(nm - 2, 0), np.eye(space.dim)
-    mask = interior_projector(space, keep)
-    interior = np.ix_(mask, mask)
+    interior = np.ix_(mask := interior_projector(space, keep), mask)
 
     def floor(a, b):  # the nonzero commutators vanish on the photon-0 block alone
         if keep < 1:
@@ -601,32 +602,27 @@ def _algebra_checks(param_sets, n_max, rng):
         return interior_commutator_norm(a, b, keep)
 
     for tag, params in param_sets.items():
-        h_rabi = build_rabi(params, space)
-        h_rot, h_counter = build_components(params, space)
-        h_rf, h_crf = build_effective(params, space)
-        n_jc, n_ajc = build_number_ops(space)
-        t_jc, t_ajc = build_transition_ops(params, space)
-        yield f"hermiticity {tag}", "max<=", HERMITICITY_TOL, lambda: max(
-            _hermiticity_deviation(op.entries) for op in (h_rabi, h_rot, h_counter, h_rf, h_crf, n_jc, n_ajc, t_jc, t_ajc)
-        )
-        yield f"component mean {tag}", "max<=", 1e-13, lambda: np.max(
-            np.abs(h_rabi.entries - 0.5 * (h_rot.entries + h_counter.entries))
-        )
-        for label, a, b in (("[n_jc, h_rf]", n_jc, h_rf), ("[n_ajc, h_crf]", n_ajc, h_crf), ("[n_jc, n_ajc]", n_jc, n_ajc),
-                            ("[n_jc, h_rot]", n_jc, h_rot), ("[n_ajc, h_counter]", n_ajc, h_counter)):
-            yield f"zero commutator {label} {tag}", "max<=", 1e-13, lambda: interior_commutator_norm(a, b, keep)
-        for label, a, b in (("[n_jc, h_crf]", n_jc, h_crf), ("[n_ajc, h_rf]", n_ajc, h_rf), ("[h_rf, h_crf]", h_rf, h_crf),
-                            ("[h_rot, h_counter]", h_rot, h_counter)):
-            yield f"nonzero commutator {label} {tag}", "min>", 0.01, lambda: floor(a, b)
+        @cache
+        def built():  # the nine operators, built on first read
+            return dict(zip(("h_rabi", "h_rot", "h_counter", "h_rf", "h_crf", "n_jc", "n_ajc", "t_jc", "t_ajc"), (
+                build_rabi(params, space), *build_components(params, space), *build_effective(params, space),
+                *build_number_ops(space), *build_transition_ops(params, space))))
+
+        def entries(name):
+            return built()[name].entries
+
+        yield f"hermiticity {tag}", "max<=", HERMITICITY_TOL, lambda: max(_hermiticity_deviation(op.entries) for op in built().values())
+        yield f"component mean {tag}", "max<=", 1e-13, lambda: np.max(np.abs(entries("h_rabi") - 0.5 * (entries("h_rot") + entries("h_counter"))))
+        for pair in ("n_jc, h_rf", "n_ajc, h_crf", "n_jc, n_ajc", "n_jc, h_rot", "n_ajc, h_counter"):
+            yield f"zero commutator [{pair}] {tag}", "max<=", 1e-13, lambda: interior_commutator_norm(*map(built().get, pair.split(", ")), keep)
+        for pair in ("n_jc, h_crf", "n_ajc, h_rf", "h_rf, h_crf", "h_rot, h_counter"):
+            yield f"nonzero commutator [{pair}] {tag}", "min>", 0.01, lambda: floor(*map(built().get, pair.split(", ")))
         for label, t_op, square in (
-            ("rotating", t_jc, 0.25 * params.delta**2 * eye + params.g**2 * n_jc.entries),
-            ("counter", t_ajc, 0.25 * params.delta_bar**2 * eye + params.g**2 * (n_ajc.entries - eye)),
+            ("rotating", "t_jc", lambda: 0.25 * params.delta**2 * eye + params.g**2 * entries("n_jc")),
+            ("counter", "t_ajc", lambda: 0.25 * params.delta_bar**2 * eye + params.g**2 * (entries("n_ajc") - eye)),
         ):
-            yield f"transition square {label} {tag}", "max<=", 1e-12, lambda: np.max(
-                np.abs((t_op.entries @ t_op.entries - square)[interior])
-            )
-        hamiltonians = (h_rot.entries, h_counter.entries, h_rabi.entries)
-        yield f"parity identities {tag}", "max<=", 1e-12, lambda: _parity_deviation(space, hamiltonians)
+            yield f"transition square {label} {tag}", "max<=", 1e-12, lambda: np.max(np.abs((entries(t_op) @ entries(t_op) - square())[interior]))
+        yield f"parity identities {tag}", "max<=", 1e-12, lambda: _parity_deviation(space, [entries(k) for k in ("h_rot", "h_counter", "h_rabi")])
         yield f"frame conjugation {tag}", "max<=", 1e-12, lambda: frame_conjugation_check(
             params, space, rng.uniform(0.0, 30.0, size=20)
         )
@@ -727,9 +723,10 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
     tol, when given, replaces the bound of every "max<=" check; the "min>"
     pattern checks keep their floors. n_max, when given, forces the photon
     truncation everywhere, including scenarios that then no longer fit. A
-    check whose thunk raises TruncationError reads (inf, 0.0, "max<=") and
-    fails with the note "truncation too small: ...", so a scenario that
-    does not fit fails all 7 of its checks with one note. A tol that is not
+    check whose thunk raises a package error (QrmError) reads (inf, 0.0,
+    "max<=") and fails, noted "truncation too small: ..." (TruncationError)
+    or "numerical error: ..."; operators and scenarios are built on first
+    read, so a build that raises fails its readers alone. A tol that is not
     a finite real > 0, an n_max below 2, or an n_max whose d x d operator
     (d = 2 * (n_max + 1)) cannot be indexed or whose peak, 256 d^2 bytes
     (32 real operators), exceeds physical memory raises ConfigError before
@@ -754,8 +751,9 @@ def verify_suite(tol: float | None = None, n_max: int | None = None) -> VerifyRe
     ):
         try:
             value = float(thunk())
-        except TruncationError as exc:
-            checks.append(CheckResult(name, math.inf, 0.0, "max<=", False, f"truncation too small: {exc}"))
+        except QrmError as exc:
+            cause = "truncation too small" if isinstance(exc, TruncationError) else "numerical error"
+            checks.append(CheckResult(name, math.inf, 0.0, "max<=", False, f"{cause}: {exc}"))
             continue
         bound = tol if mode == "max<=" and tol is not None else bound
         checks.append(CheckResult(name, value, bound, mode, value <= bound if mode == "max<=" else value > bound))

@@ -3,7 +3,12 @@
 Draws live in the same region the experiments use: xi in [-2, 2], epsilon
 in (0, 2], photon index n up to 10, with the physical constraint
 2*xi + epsilon >= 0 (non-negative atomic frequency) enforced by assumption.
+The frontier sweep at the end leaves that region: epsilon over eleven
+decades, omega0 = 0 included, and horizons to 1e6, with bounds that scale
+with the roundoff of the phases.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qrmframes import (
+    FRAMES,
     DegenerateBranchError,
     ExperimentConfig,
     HilbertSpace,
@@ -21,6 +27,7 @@ from qrmframes import (
     ajc_eigenstate,
     build_effective,
     build_number_ops,
+    compare_scenario,
     crf_branch_states,
     evolve_crf,
     evolve_rf,
@@ -28,6 +35,7 @@ from qrmframes import (
     expectation,
     jc_branch,
     jc_eigenstate,
+    observables,
     observables_crf,
     observables_rf,
     rf_branch_states,
@@ -186,3 +194,48 @@ def test_config_json_round_trip(frame, n, xi, eps, tau_max, steps):
     cfg = ExperimentConfig(frame=frame, n=n, xi=xi, epsilon=eps,
                            tau_max=tau_max, steps=steps)
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+U = np.finfo(float).eps  # 2**-52
+frames = st.sampled_from(sorted(FRAMES))
+
+
+def log_uniform(low: float, high: float):
+    return st.floats(min_value=math.log10(low), max_value=math.log10(high)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def frontier_params(draw) -> ModelParams:
+    """epsilon in [1e-3, 1e8] and g in [0.1, 10], log-uniform; omega0 = 2 lift epsilon g
+    with lift = 0 (the resonant edge omega0 = 0) or lift in [0, 3]."""
+    eps = draw(log_uniform(1e-3, 1e8))
+    lift = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=3.0))
+    return ModelParams.from_dimensionless(-eps / 2 + lift * eps, eps, draw(log_uniform(0.1, 10.0)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(params=frontier_params(), frame=frames, n=st.integers(min_value=0, max_value=5), tau_max=log_uniform(1.0, 1e3))
+def test_frontier_sweep_against_the_oracle(params, frame, n, tau_max):
+    # the oracle propagates up to photon n + 1, where the largest frequency is
+    # Omega = omega (n + 2) + omega0 + g sqrt(n + 2): phases carry a roundoff of
+    # u Omega t_max, and the observables read up to n + 2 quanta
+    grid = np.linspace(0.0, tau_max, 40) / params.g
+    report = compare_scenario(params, frame, n, grid)
+    omega = params.omega * (n + 2) + params.omega0 + params.g * math.sqrt(n + 2)
+    scale = U * max(1.0, omega * grid[-1])
+    assert report.max_state_dev <= 16 * scale
+    assert report.worst_obs_dev() <= 16 * scale * (n + 2)
+    # both sides start from the same initial state, so its own error shows only here: it
+    # is an eigenvector of the other frame's Hamiltonian, whose entries are <= Omega
+    psi = report.initial.amps
+    image = build_effective(params, report.initial.space)[1 - FRAMES[frame].hamiltonian].entries @ psi
+    assert np.max(np.abs(image - np.vdot(psi, image).real * psi)) <= 16 * U * omega
+
+
+@settings(deadline=None, max_examples=300)
+@given(params=frontier_params(), frame=frames, n=st.integers(min_value=0, max_value=1000), tau_max=log_uniform(1.0, 1e6))
+def test_frontier_sweep_of_the_closed_forms(params, frame, n, tau_max):
+    obs = observables(params, frame, n, np.linspace(0.0, tau_max, 40) / params.g)
+    assert np.all(obs.atomic_excitation >= -4 * U) and np.all(obs.atomic_excitation <= 1.0 + 4 * U)
+    assert np.max(np.abs(obs.n_ajc - obs.n_jc - (1.0 - 2.0 * obs.s_z))) <= 4 * U * (n + 2)
+    assert np.ptp(getattr(obs, FRAMES[frame].conserved)) == 0.0

@@ -21,6 +21,7 @@ from qrmframes import (
     ExperimentConfig,
     HilbertSpace,
     ModelParams,
+    NumericConsistencyError,
     beat_modulation_period,
     emit_csv,
     emit_svg,
@@ -897,6 +898,17 @@ class TestBeatMeasurement:
         with pytest.raises(ValueError):
             beat_modulation_period(tau, np.zeros_like(tau))
 
+    @pytest.mark.parametrize("reverse", [True, False], ids=["decreasing", "constant"])
+    def test_rejects_a_grid_that_does_not_increase(self, reverse):
+        # a reversed grid turns every frequency negative, so none reaches the cutoff and the carrier
+        # stays in; a constant grid has no frequencies at all
+        tau = np.linspace(0.0, 400.0, 4000)
+        params = ModelParams.from_dimensionless(0.0, 0.16)
+        values = observables(params, "rf", 5, tau / params.g).atomic_excitation
+        assert beat_modulation_period(tau, values) == pytest.approx(6.99, abs=0.01)
+        with pytest.raises(ValueError, match="tau grid must increase"):
+            beat_modulation_period(tau[::-1] if reverse else np.full_like(tau, 400.0), values)
+
     def test_rejects_featureless_signal(self):
         tau = np.linspace(0.0, 10.0, 64)
         with pytest.raises(ValueError):
@@ -1037,6 +1049,42 @@ class TestVerifySuite:
         assert len(scenario) == 7
         assert all(not c.passed and c.note == scenario[0].note for c in scenario)
         assert scenario[0].note.startswith("truncation too small: ")
+
+    def test_a_failing_builder_fails_only_the_checks_that_read_its_operators(self, monkeypatch, capsys):
+        real = model._FORMULAS["t_jc"]
+        monkeypatch.setitem(model._FORMULAS, "t_jc", lambda p, t: real(p, t) + 1e-9 * t["a_sp"])  # a s+ without its adjoint
+        report = verify_suite()  # the HermiticityError of `build_transition_ops` does not escape
+        failed = [c for c in report.checks if not c.passed]
+        # the 14 algebra checks of each parameter set that read the built operators; frame conjugation,
+        # dressing closure and every scenario and eigenstate check build their own, or none
+        zero = ("n_jc, h_rf", "n_ajc, h_crf", "n_jc, n_ajc", "n_jc, h_rot", "n_ajc, h_counter")
+        nonzero = ("n_jc, h_crf", "n_ajc, h_rf", "h_rf, h_crf", "h_rot, h_counter")
+        reading = ["hermiticity", "component mean", *(f"zero commutator [{pair}]" for pair in zero),
+                   *(f"nonzero commutator [{pair}]" for pair in nonzero), "transition square rotating", "transition square counter", "parity identities"]
+        assert [c.name for c in failed] == [f"{name} {tag}" for tag in ("rf-params", "crf-params") for name in reading]
+        assert all((c.value, c.bound, c.mode) == (math.inf, 0.0, "max<=") for c in failed)
+        assert all(c.note.startswith("numerical error: hermitian tag violated") for c in failed)
+        assert len(report.checks) == 92  # the other 64 pass
+        capsys.readouterr()
+        assert cli.main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        assert sum(line.startswith("FAIL  ") for line in out.splitlines()) == 28
+        assert "overall: FAIL (92 checks)" in out and err == ""
+
+    def test_a_scenario_that_raises_fails_its_own_seven_checks(self, monkeypatch):
+        real_compare = runner.compare_scenario
+
+        def failing_compare(params, frame, n, grid, n_max=None):
+            if (frame, n) == ("crf", 5):
+                raise NumericConsistencyError("initial norm 2.0 is not 1")
+            return real_compare(params, frame, n, grid, n_max=n_max)
+
+        monkeypatch.setattr(runner, "compare_scenario", failing_compare)
+        report = verify_suite()
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == [c.name for c in report.checks if " crf n=5" in c.name]
+        assert len(failed) == 7
+        assert {c.note for c in failed} == {"numerical error: initial norm 2.0 is not 1"}
 
     def test_one_eigendecomposition_per_hamiltonian(self, monkeypatch):
         shapes, real = [], []
